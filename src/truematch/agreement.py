@@ -14,8 +14,16 @@ from .crosstab import MatchingTable
 __all__ = ["diagonal_fraction", "cohen_kappa", "rand_index", "adjusted_rand"]
 
 
-def _pairs2(x: int) -> int:
-    return x * (x - 1) // 2
+def _pair_counts(table: MatchingTable) -> tuple[int, int, int, int]:
+    """Case pairs sharing a cell, a row, a column, and all case pairs.
+
+    Cells, rows and columns each sum to the total n, so the pairs within
+    them are (sum of squares - n) / 2.  The sums are Python ints, so
+    products of them stay exact where int64 would overflow.
+    """
+    n = table.total
+    within = [(int(x @ x) - n) // 2 for x in (table.counts.ravel(), table.row_sums, table.col_sums)]
+    return (*within, n * (n - 1) // 2)
 
 
 def diagonal_fraction(table: MatchingTable) -> float:
@@ -54,13 +62,9 @@ def rand_index(table: MatchingTable) -> float:
     (together in both or separated in both).  Invariant under label
     permutations of either side.
     """
-    n = table.total
-    if n < 2:
+    if table.total < 2:
         raise ValueError("rand index needs at least two observations")
-    together_both = sum(_pairs2(int(x)) for x in table.counts.flat)
-    together_rows = sum(_pairs2(int(x)) for x in table.row_sums)
-    together_cols = sum(_pairs2(int(x)) for x in table.col_sums)
-    all_pairs = _pairs2(n)
+    together_both, together_rows, together_cols, all_pairs = _pair_counts(table)
     return float(all_pairs + 2 * together_both - together_rows - together_cols) / all_pairs
 
 
@@ -72,13 +76,9 @@ def adjusted_rand(table: MatchingTable) -> float:
     singletons) returns 0.0 so Monte-Carlo sweeps never abort on
     degenerate draws.
     """
-    n = table.total
-    if n < 2:
+    if table.total < 2:
         raise ValueError("adjusted rand needs at least two observations")
-    together_both = sum(_pairs2(int(x)) for x in table.counts.flat)
-    together_rows = sum(_pairs2(int(x)) for x in table.row_sums)
-    together_cols = sum(_pairs2(int(x)) for x in table.col_sums)
-    all_pairs = _pairs2(n)
+    together_both, together_rows, together_cols, all_pairs = _pair_counts(table)
     expected = together_rows * together_cols / all_pairs
     denom = 0.5 * (together_rows + together_cols) - expected
     if denom == 0.0:

@@ -61,6 +61,18 @@ def _load_labels(path: str):
         raise click.ClickException(f"{path}: {err}") from err
 
 
+def _load_table(labels_a: str, labels_b: str):
+    """Crosstab of two label files on their shared canonical label space."""
+    vec_a, _ = _load_labels(labels_a)
+    vec_b, _ = _load_labels(labels_b)
+    if len(vec_a) != len(vec_b):
+        raise click.ClickException(
+            f"{labels_a} has {len(vec_a)} cases but {labels_b} has {len(vec_b)}"
+        )
+    a, b, k = canonical_pair(vec_a, vec_b)
+    return crosstab(a, b, k)
+
+
 def _load_matrix_csv(path: str) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -76,6 +88,12 @@ def _load_matrix_csv(path: str) -> np.ndarray:
         raise click.ClickException(f"{path}: {err}") from err
     if data.size == 0:
         raise click.ClickException(f"{path}: no numeric rows")
+    bad_rows = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad_rows.size:
+        # loadtxt drops blank and comment-only lines; map the row back to its line
+        with open(path, "r", encoding="utf-8") as fh:
+            data_lines = [i for i, raw in enumerate(fh, start=1) if i > skip and raw.split("#")[0].strip()]
+        raise click.ClickException(f"{path}:{data_lines[bad_rows[0]]}: non-finite value (nan or inf)")
     return data
 
 
@@ -116,14 +134,7 @@ def main():
 def match(labels_a, labels_b, method, seed, out):
     """Match the clusters of LABELS_B to those of LABELS_A."""
     with _Guard():
-        vec_a, _ = _load_labels(labels_a)
-        vec_b, _ = _load_labels(labels_b)
-        if len(vec_a) != len(vec_b):
-            raise click.ClickException(
-                f"{labels_a} has {len(vec_a)} cases but {labels_b} has {len(vec_b)}"
-            )
-        a, b, k = canonical_pair(vec_a, vec_b)
-        table = crosstab(a, b, k)
+        table = _load_table(labels_a, labels_b)
         rng = np.random.default_rng(seed)
         result = resolve_matcher(method)(table, rng)
         res = residuals(table)
@@ -148,14 +159,7 @@ def match(labels_a, labels_b, method, seed, out):
 def agree(labels_a, labels_b, out):
     """Agreement indices between LABELS_A and LABELS_B (as given)."""
     with _Guard():
-        vec_a, _ = _load_labels(labels_a)
-        vec_b, _ = _load_labels(labels_b)
-        if len(vec_a) != len(vec_b):
-            raise click.ClickException(
-                f"{labels_a} has {len(vec_a)} cases but {labels_b} has {len(vec_b)}"
-            )
-        a, b, k = canonical_pair(vec_a, vec_b)
-        table = crosstab(a, b, k)
+        table = _load_table(labels_a, labels_b)
         payload = {
             "diagonal": diagonal_fraction(table),
             "kappa": cohen_kappa(table),

@@ -75,30 +75,22 @@ def parse_labels(source) -> tuple[LabelVector, dict[str, int]]:
     """
     if hasattr(source, "read"):
         source = source.read()
-    lines = source.split("\n")
-    while lines and lines[-1].strip() == "":
-        lines.pop()
-    if not lines:
+    tokens = [raw.strip() for raw in source.split("\n")]
+    while tokens and tokens[-1] == "":
+        tokens.pop()
+    if not tokens:
         raise LabelParseError("empty label stream")
+    if "" in tokens:
+        lineno = tokens.index("") + 1
+        raise LabelParseError(f"blank line {lineno} inside label stream", line=lineno)
 
-    tokens: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        tok = raw.strip()
-        if tok == "":
-            raise LabelParseError(f"blank line {lineno} inside label stream", line=lineno)
-        tokens.append((lineno, tok))
-
-    if tokens[0][1] == HEADER_TOKEN:
+    if tokens[0] == HEADER_TOKEN:
         tokens = tokens[1:]
     if not tokens:
         raise LabelParseError("label stream holds a header but no labels")
 
-    mapping: dict[str, int] = {}
-    out = np.empty(len(tokens), dtype=np.int64)
-    for i, (_, tok) in enumerate(tokens):
-        if tok not in mapping:
-            mapping[tok] = len(mapping) + 1
-        out[i] = mapping[tok]
+    mapping = {tok: i for i, tok in enumerate(dict.fromkeys(tokens), start=1)}
+    out = np.fromiter(map(mapping.__getitem__, tokens), dtype=np.int64, count=len(tokens))
     return LabelVector(out, len(mapping)), mapping
 
 

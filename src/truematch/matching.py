@@ -105,19 +105,19 @@ def _finish(
     method: str,
     rng: np.random.Generator,
     seed_trace: dict,
+    signed: np.ndarray,
     pair_order: np.ndarray | None = None,
     pair_signed: np.ndarray | None = None,
 ) -> MatchResult:
-    """Assemble a MatchResult from a 0-based row->column assignment."""
+    """Assemble a MatchResult from a 0-based row->column assignment and
+    the signed residuals of the full table."""
     k = table.k
     rows = np.arange(k)
     cols = row_to_col
-    full_signed = residuals(table).signed
-    s_vals = full_signed[rows, cols]
+    s_vals = signed[rows, cols]
     n_vals = table.counts[rows, cols]
 
     draws = rng.uniform(size=k)
-    seed_trace = dict(seed_trace)
     seed_trace["pair_draws"] = draws.tolist()
 
     present = np.lexsort((draws, -s_vals, -n_vals))
@@ -153,17 +153,14 @@ def _match_by_assignment(table: MatchingTable, rng: np.random.Generator, method:
     k = table.k
     row_shuffle = rng.permutation(k)
     col_shuffle = rng.permutation(k)
-    shuffled = MatchingTable(table.counts[np.ix_(row_shuffle, col_shuffle)])
-    if method == TRUEMATCH:
-        score = residuals(shuffled).signed
-    else:
-        score = shuffled.counts.astype(float)
-    shuffled_assign = solve_assignment(score, "maximize") - 1
+    signed = residuals(table).signed
+    score = signed if method == TRUEMATCH else table.counts.astype(float)
+    shuffled_assign = solve_assignment(score[np.ix_(row_shuffle, col_shuffle)], "maximize") - 1
     # Shuffled row i is original row row_shuffle[i]; likewise for columns.
     row_to_col = np.empty(k, dtype=np.int64)
     row_to_col[row_shuffle] = col_shuffle[shuffled_assign]
     trace = {"row_shuffle": row_shuffle.tolist(), "col_shuffle": col_shuffle.tolist()}
-    return _finish(table, row_to_col, method, rng, trace)
+    return _finish(table, row_to_col, method, rng, trace, signed)
 
 
 def match_tracemax(table: MatchingTable, rng: np.random.Generator) -> MatchResult:
@@ -192,18 +189,22 @@ def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) ->
     The final remaining row/column pair is matched directly.
     """
     k = table.k
+    full_signed = residuals(table).signed
     live_rows = np.arange(k)
     live_cols = np.arange(k)
-    selected: list[tuple[int, int, float]] = []
+    row_to_col = np.empty(k, dtype=np.int64)
+    # pairs are reported in selection order with the selection-time residual
+    pair_order = np.empty(k, dtype=np.int64)
+    sel_signed = np.zeros(k)
     tie_draws: list[int] = []
-    residual_cells = 0
-    while live_rows.size >= 2:
-        sub = table.counts[np.ix_(live_rows, live_cols)]
-        if sub.sum() > 0:
-            signed = residuals(MatchingTable(sub)).signed
-        else:
-            signed = np.zeros_like(sub, dtype=float)
-        residual_cells += signed.size
+    sub, signed = table.counts, full_signed
+    for step in range(k - 1):
+        if step:
+            sub = table.counts[np.ix_(live_rows, live_cols)]
+            if sub.sum() > 0:
+                signed = residuals(MatchingTable(sub)).signed
+            else:
+                signed = np.zeros_like(sub, dtype=float)
         top = signed == signed.max()
         counts_top = sub[top].max()
         top &= sub == counts_top
@@ -214,26 +215,25 @@ def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) ->
             pick = int(rng.choice(flat))
             tie_draws.append(pick)
         r, c = divmod(pick, live_cols.size)
-        selected.append((int(live_rows[r]), int(live_cols[c]), float(signed[r, c])))
+        row = live_rows[r]
+        row_to_col[row] = live_cols[c]
+        sel_signed[row] = signed[r, c]
+        pair_order[step] = row
         live_rows = np.delete(live_rows, r)
         live_cols = np.delete(live_cols, c)
     # a 1x1 subtable always has zero residual: its count equals its margins
-    selected.append((int(live_rows[0]), int(live_cols[0]), 0.0))
+    row_to_col[live_rows[0]] = live_cols[0]
+    pair_order[k - 1] = live_rows[0]
 
-    row_to_col = np.empty(k, dtype=np.int64)
-    sel_signed = np.empty(k, dtype=float)
-    for r, c, s in selected:
-        row_to_col[r] = c
-        sel_signed[r] = s
-    # pairs are reported in selection order with the selection-time residual
-    pair_order = np.array([r for r, _, _ in selected], dtype=np.int64)
-    trace = {"tie_draws": tie_draws, "residual_cells": residual_cells}
+    # residuals covered every subtable from k x k down to 2 x 2
+    trace = {"tie_draws": tie_draws, "residual_cells": k * (k + 1) * (2 * k + 1) // 6 - 1}
     return _finish(
         table,
         row_to_col,
         TRUEMATCH_HEURISTIC,
         rng,
         trace,
+        full_signed,
         pair_order=pair_order,
         pair_signed=sel_signed,
     )

@@ -20,6 +20,7 @@ works.  All randomness a model needs must be consumed inside ``fit``
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,8 +145,8 @@ def mmcc_run(
     match_fn = resolve_matcher(matcher)
 
     votes = np.zeros((n, k), dtype=np.int64)
-    history: list[np.ndarray] = []
-    done = 0
+    # the early-stop rule compares the newest snapshot with the one a window back
+    history = None if early_stop_window is None else deque(maxlen=early_stop_window + 1)
     for round_idx in range(rounds):
         picks = rng.integers(0, n, size=n)
         model = base.fit(data, picks, k, rng)
@@ -159,17 +160,13 @@ def mmcc_run(
             table = crosstab(reference.labels, predicted, k=k)
             aligned = match_fn(table, rng).perm[predicted - 1]
         votes[np.arange(n), aligned - 1] += 1
-        done += 1
-        if early_stop_window is not None:
-            probs_now = votes / votes.sum(axis=1, keepdims=True)
-            history.append(probs_now)
-            if len(history) > early_stop_window:
-                moved = np.abs(history[-1] - history[-1 - early_stop_window]).max()
-                if moved < early_stop_tol:
-                    break
+        if history is not None:
+            history.append(votes / votes.sum(axis=1, keepdims=True))
+            if len(history) == history.maxlen and np.abs(history[-1] - history[0]).max() < early_stop_tol:
+                break
 
     probs = votes / votes.sum(axis=1, keepdims=True)
-    return VoteMatrix(votes, done), ProbMatrix(probs)
+    return VoteMatrix(votes, round_idx + 1), ProbMatrix(probs)
 
 
 def cic_stats(probs: ProbMatrix) -> CicStats:

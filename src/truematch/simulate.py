@@ -176,10 +176,7 @@ def simulate_cell(cfg: SimulationConfig) -> CellResult:
 
     votes = np.zeros((n, 2), dtype=np.int64)
     accepted = 0
-    starved = False
     while accepted < cfg.rounds:
-        round_ok = False
-        judged_all = in_bag = ref_cases = ref_labels = None
         for _ in range(REDRAW_BUDGET):
             picks = rng.integers(0, n, size=n)
             in_bag = np.unique(picks)
@@ -190,8 +187,7 @@ def simulate_cell(cfg: SimulationConfig) -> CellResult:
             if judged_bag.min() == judged_bag.max():
                 continue
             if accepted == 0:
-                ref_cases = None
-                round_ok = True
+                aligned = judged_all
                 break
             has_votes = votes[in_bag].sum(axis=1) > 0
             if not has_votes.any():
@@ -200,16 +196,11 @@ def simulate_cell(cfg: SimulationConfig) -> CellResult:
             ref_labels = majority_labels(votes[ref_cases], rng).labels
             if ref_labels.min() == ref_labels.max():
                 continue
-            round_ok = True
-            break
-        if not round_ok:
-            starved = True
-            break
-        if ref_cases is None:
-            aligned = judged_all
-        else:
             table = crosstab(ref_labels, judged_all[ref_cases], k=2)
             aligned = match_fn(table, rng).perm[judged_all - 1]
+            break
+        else:
+            break  # redraw budget exhausted: the cell is starved
         votes[in_bag, aligned[in_bag] - 1] += 1
         accepted += 1
 
@@ -223,7 +214,7 @@ def simulate_cell(cfg: SimulationConfig) -> CellResult:
     active = votes[voted]
     stats = cic_stats(ProbMatrix(active / active.sum(axis=1, keepdims=True)))
     final = majority_labels(VoteMatrix(active, accepted), rng)
-    degenerate = starved or np.unique(final.labels).size < 2
+    degenerate = accepted < cfg.rounds or np.unique(final.labels).size < 2
     return CellResult(
         p=cfg.p, kappa=cfg.kappa,
         uncertainty=stats.uncertainty, information=stats.information, cic=stats.cic,

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -121,3 +123,25 @@ class TestInvariances:
             p_exp = float((table.row_sums * table.col_sums).sum()) / table.total**2
             if p_exp > 0 and p_exp < 1 and diagonal_fraction(table) < 1:
                 assert cohen_kappa(table) <= diagonal_fraction(table) + 1e-12
+
+
+class TestExactPairCounts:
+    def test_million_total_against_fraction_oracle(self):
+        counts = [[400_000, 50_000, 10_000], [30_000, 250_000, 20_000], [5_000, 35_000, 200_000]]
+        table = MatchingTable(counts)
+        assert table.total == 10**6
+
+        def pairs(x):
+            return Fraction(x * (x - 1), 2)
+
+        both = sum(pairs(x) for row in counts for x in row)
+        rows = sum(pairs(sum(row)) for row in counts)
+        cols = sum(pairs(sum(col)) for col in zip(*counts))
+        all_pairs = pairs(10**6)
+        # the product the adjusted Rand index needs would wrap around in int64
+        assert rows * cols > np.iinfo(np.int64).max
+        expected = rows * cols / all_pairs
+        rand = (all_pairs + 2 * both - rows - cols) / all_pairs
+        crand = (both - expected) / ((rows + cols) / 2 - expected)
+        assert rand_index(table) == pytest.approx(float(rand), rel=1e-12, abs=0)
+        assert adjusted_rand(table) == pytest.approx(float(crand), rel=1e-12, abs=0)

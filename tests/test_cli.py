@@ -118,6 +118,18 @@ class TestMmcc:
         ])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_cell_exit_2(self, runner, tmp_path, cell):
+        # the header, the blank line and the comment line all count toward the line number
+        csv = write(tmp_path / "d.csv", f"x,y\n1,2\n3,4\n\n# note\n5,{cell}\n7,8\n9,10\n")
+        probs = tmp_path / "p.csv"
+        result = runner.invoke(main, [
+            "mmcc", csv, "--k", "2", "--rounds", "10", "--probs-out", str(probs),
+        ])
+        assert result.exit_code == 2
+        assert "d.csv:6:" in result.output
+        assert not probs.exists()
+
 
 class TestSimulate:
     def test_outlier_json(self, runner, tmp_path):
