@@ -51,6 +51,12 @@ CASES = {
          "--rounds", "60", "--seed", "7"],
         _out("simulate-grid-truematch"),
     ),
+    # d=4, values rounded to 1 decimal so that resamples hold duplicate rows:
+    # pins the order in which the Lloyd clusterer draws its starting points
+    "mmcc-4d-truematch": (
+        ["mmcc", "grid_4d.csv", "--k", "4", "--rounds", "30", "--seed", "7"],
+        _mmcc_out("mmcc-4d-truematch"),
+    ),
 }
 for _m in MATCHERS:
     CASES[f"match-k12-{_m}"] = (
