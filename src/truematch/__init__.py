@@ -39,6 +39,7 @@ from .matching import (
 )
 from .mmcc import (
     CicStats,
+    DegenerateResample,
     LloydClusterer,
     ProbMatrix,
     VoteMatrix,
@@ -98,6 +99,7 @@ __all__ = [
     "VoteMatrix",
     "ProbMatrix",
     "CicStats",
+    "DegenerateResample",
     "majority_labels",
     "mmcc_run",
     "cic_stats",

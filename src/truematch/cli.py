@@ -74,27 +74,51 @@ def _load_table(labels_a: str, labels_b: str):
 
 
 def _load_matrix_csv(path: str) -> np.ndarray:
+    skip = 0
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
             first = fh.readline()
-        skip = 1
         try:
             [float(tok) for tok in first.replace(",", " ").split()]
-            skip = 0
         except ValueError:
-            pass
+            skip = 1
         data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-    except (OSError, ValueError) as err:
+    except OSError as err:
         raise click.ClickException(f"{path}: {err}") from err
+    except ValueError as err:
+        # numpy's row numbers count neither alike nor from the top of the file
+        located = _first_bad_line(path, skip)
+        raise click.ClickException(f"{path}:{located}" if located else f"{path}: {err}") from err
     if data.size == 0:
         raise click.ClickException(f"{path}: no numeric rows")
     bad_rows = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad_rows.size:
-        # loadtxt drops blank and comment-only lines; map the row back to its line
-        with open(path, "r", encoding="utf-8") as fh:
-            data_lines = [i for i, raw in enumerate(fh, start=1) if i > skip and raw.split("#")[0].strip()]
-        raise click.ClickException(f"{path}:{data_lines[bad_rows[0]]}: non-finite value (nan or inf)")
+        line, _ = _data_lines(path, skip)[bad_rows[0]]
+        raise click.ClickException(f"{path}:{line}: non-finite value (nan or inf)")
     return data
+
+
+def _data_lines(path: str, skip: int) -> list[tuple[int, str]]:
+    """(1-based line number, text) of each line np.loadtxt reads as a row:
+    past the header, with comments cut and blank lines dropped."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        cut = [(i, raw.split("#")[0]) for i, raw in enumerate(fh, start=1) if i > skip]
+    return [(i, text) for i, text in cut if text.strip()]
+
+
+def _first_bad_line(path: str, skip: int) -> str | None:
+    """'LINE: reason' for the first row that is not as many numbers as the first row."""
+    width = None
+    for line, text in _data_lines(path, skip):
+        cells = text.split(",")
+        try:
+            [float(cell) for cell in cells]
+        except ValueError:
+            return f"{line}: cannot read {text.strip()!r} as comma-separated numbers"
+        width = width or len(cells)
+        if len(cells) != width:
+            return f"{line}: {len(cells)} values where the first row has {width}"
+    return None
 
 
 class _Guard:

@@ -15,7 +15,9 @@ Base cluster algorithms are plugged in behaviorally: any object with
     predict(model, data) -> labels in 1..k for every case
 
 works.  All randomness a model needs must be consumed inside ``fit``
-(``predict`` is deterministic given the model).
+(``predict`` is deterministic given the model).  A ``fit`` that cannot
+use its resample raises ``DegenerateResample`` before it draws from the
+generator; the loop then draws a fresh resample.
 """
 
 from __future__ import annotations
@@ -33,12 +35,21 @@ __all__ = [
     "VoteMatrix",
     "ProbMatrix",
     "CicStats",
+    "DegenerateResample",
+    "REDRAW_BUDGET",
     "majority_labels",
     "mmcc_run",
     "cic_stats",
     "LloydClusterer",
     "lloyd_base_clusterer",
 ]
+
+
+REDRAW_BUDGET = 1000
+
+
+class DegenerateResample(ValueError):
+    """A base clusterer cannot fit this resample, but a fresh one may do."""
 
 
 @dataclass(frozen=True)
@@ -125,10 +136,12 @@ def mmcc_run(
 ) -> tuple[VoteMatrix, ProbMatrix]:
     """Aggregate cluster votes over bootstrap resamples.
 
-    Round 1 votes the first predicted vector as-is (it seeds the label
-    space).  Every later round estimates current memberships by row
-    majority, aligns the fresh prediction to them via ``matcher`` on
-    their crosstab, and votes the aligned labels.  Stops after
+    Each round's resample is redrawn, up to ``REDRAW_BUDGET`` times, while
+    ``base.fit`` raises ``DegenerateResample``.  Round 1 votes the first
+    predicted vector as-is (it seeds the label space).  Every later round
+    estimates current memberships by row majority, aligns the fresh
+    prediction to them via ``matcher`` on their crosstab, and votes the
+    aligned labels.  Stops after
     ``rounds`` rounds, or earlier when ``early_stop_window`` is set and
     the membership matrix moved less than ``early_stop_tol`` in max norm
     over that many rounds.
@@ -148,8 +161,15 @@ def mmcc_run(
     # the early-stop rule compares the newest snapshot with the one a window back
     history = None if early_stop_window is None else deque(maxlen=early_stop_window + 1)
     for round_idx in range(rounds):
-        picks = rng.integers(0, n, size=n)
-        model = base.fit(data, picks, k, rng)
+        for _ in range(REDRAW_BUDGET):
+            picks = rng.integers(0, n, size=n)
+            try:
+                model = base.fit(data, picks, k, rng)
+            except DegenerateResample:
+                continue
+            break
+        else:
+            raise ValueError(f"no resample in {REDRAW_BUDGET} draws could be fitted with k={k}")
         predicted = _label_array(base.predict(model, data))
         if predicted.shape != (n,) or predicted.min() < 1 or predicted.max() > k:
             raise ValueError("base clusterer must predict labels in 1..k for every case")
@@ -196,7 +216,7 @@ class LloydClusterer:
 
     ``fit`` runs Lloyd iterations on the resampled rows, starting from k
     distinct points drawn from the resample; ``predict`` assigns every
-    case to its nearest centroid.
+    case to its nearest centroid.  Data must be finite.
     """
 
     def __init__(self, iterations: int = 25):
@@ -211,34 +231,99 @@ class LloydClusterer:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("data must be an (N, d) array of numeric features")
+        if not np.isfinite(pts).all():
+            raise ValueError("data must be finite")
         return pts
 
     def fit(self, data, resample_indices, k: int, rng: np.random.Generator) -> np.ndarray:
         pts = self._as_points(data)
-        sample = pts[np.asarray(resample_indices, dtype=np.int64)]
-        distinct = np.unique(sample, axis=0)
+        picks = np.asarray(resample_indices, dtype=np.int64)
+        in_bag = np.zeros(pts.shape[0], dtype=bool)
+        in_bag[picks] = True
+        distinct = _distinct_rows(pts[in_bag])
         if distinct.shape[0] < k:
-            raise ValueError(
+            available = _distinct_rows(pts).shape[0]
+            if available < k:
+                raise ValueError(f"data holds only {available} distinct points, need k={k}")
+            raise DegenerateResample(
                 f"resample holds only {distinct.shape[0]} distinct points, need k={k}"
             )
         centroids = distinct[rng.choice(distinct.shape[0], size=k, replace=False)]
+        sample = pts[picks]
+        sample_t = np.ascontiguousarray(sample.T)
         for _ in range(self.iterations):
-            dist = ((sample[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-            owner = dist.argmin(axis=1)
+            owner = _nearest(sample, sample_t, centroids)
+            counts = np.bincount(owner, minlength=k)
+            filled = counts > 0
             updated = centroids.copy()
-            for j in range(k):
-                members = owner == j
-                if members.any():
-                    updated[j] = sample[members].mean(axis=0)
-            if np.allclose(updated, centroids):
+            sums = _cluster_sums(sample, sample_t, owner, k)
+            updated[filled] = sums[filled] / counts[filled, None]
+            # np.allclose(updated, centroids) for finite values, without its overhead
+            if (np.abs(updated - centroids) <= 1e-8 + 1e-5 * np.abs(centroids)).all():
                 break
             centroids = updated
         return centroids
 
     def predict(self, model: np.ndarray, data) -> LabelVector:
         pts = self._as_points(data)
-        dist = ((pts[:, None, :] - model[None, :, :]) ** 2).sum(axis=2)
-        return LabelVector(dist.argmin(axis=1).astype(np.int64) + 1, model.shape[0])
+        return LabelVector(_nearest(pts, np.ascontiguousarray(pts.T), model) + 1, model.shape[0])
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """The distinct rows in lexicographic order, as ``np.unique(rows, axis=0)``
+    lists them.  Rows are compared as whole rows only where first
+    coordinates tie."""
+    rows = rows[np.argsort(rows[:, 0])]
+    tie = rows[1:, 0] == rows[:-1, 0]
+    if not tie.any():
+        return rows
+    tied = np.flatnonzero(np.r_[tie, False] | np.r_[False, tie])
+    run = np.cumsum(np.r_[True, ~tie])[tied]
+    block = rows[tied]
+    rows[tied] = block[np.lexsort((*block.T[:0:-1], run))]
+    return rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+
+
+def _nearest(points: np.ndarray, points_t: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """0-based index of each point's nearest centroid, the lowest on ties."""
+    dist = _squared_distances(points, points_t, centroids)
+    # argmin down the short centroid axis costs a call per point; scan the centroids instead
+    owner = np.zeros(dist.shape[1], dtype=np.int64)
+    best = dist[0]
+    for j in range(1, dist.shape[0]):
+        closer = dist[j] < best
+        owner[closer] = j
+        best = np.minimum(best, dist[j])
+    return owner
+
+
+def _squared_distances(points: np.ndarray, points_t: np.ndarray,
+                       centroids: np.ndarray) -> np.ndarray:
+    """(k, N) squared distances, bit-identical to
+    ``((points[:, None] - centroids[None]) ** 2).sum(axis=2).T``.
+
+    numpy sums fewer than 8 terms of a last axis left to right, which the
+    coordinate-major layout reproduces with long inner loops; from 8 terms
+    on it sums pairwise, so wider data keeps the point-major layout.
+    """
+    if points.shape[1] < 8:
+        diff = points_t[None, :, :] - centroids[:, :, None]
+        diff *= diff
+        return diff.sum(axis=1)
+    return ((points[None, :, :] - centroids[:, None, :]) ** 2).sum(axis=2)
+
+
+def _cluster_sums(sample: np.ndarray, sample_t: np.ndarray, owner: np.ndarray,
+                  k: int) -> np.ndarray:
+    """(k, d) coordinate sums per cluster, added in the order
+    ``sample[owner == j].mean(axis=0)`` adds them.
+
+    numpy sums the rows of an (m, d) block one after another, as
+    ``bincount`` does, but an (m, 1) column pairwise.
+    """
+    if sample.shape[1] == 1:
+        return np.array([sample[owner == j].sum(axis=0) for j in range(k)])
+    return np.stack([np.bincount(owner, weights=col, minlength=k) for col in sample_t], axis=1)
 
 
 def lloyd_base_clusterer(iterations: int = 25) -> LloydClusterer:

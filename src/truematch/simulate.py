@@ -22,7 +22,7 @@ from .agreement import adjusted_rand, cohen_kappa, diagonal_fraction, rand_index
 from .crosstab import crosstab
 from .labels import LabelVector, _label_array
 from .matching import resolve_matcher
-from .mmcc import ProbMatrix, VoteMatrix, cic_stats, majority_labels
+from .mmcc import REDRAW_BUDGET, ProbMatrix, VoteMatrix, cic_stats, majority_labels
 
 __all__ = [
     "SimulationConfig",
@@ -39,8 +39,6 @@ __all__ = [
     "derive_cell_seed",
     "outlier_scenario",
 ]
-
-REDRAW_BUDGET = 1000
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,37 @@ class TestMmcc:
         ])
         assert result.exit_code == 2
 
+    def test_short_resamples_redrawn(self, runner, tmp_path):
+        # six distinct points and k=4: some bootstrap resamples hold fewer than
+        # four of them and must be redrawn instead of ending the run
+        csv = write(tmp_path / "d.csv", "0\n1\n2\n3\n4\n5\n")
+        probs = tmp_path / "p.csv"
+        result = runner.invoke(main, [
+            "mmcc", csv, "--k", "4", "--rounds", "20", "--probs-out", str(probs),
+        ])
+        assert result.exit_code == 0, result.output
+        assert np.loadtxt(probs, delimiter=",", ndmin=2).shape == (6, 4)
+
+    def test_too_few_distinct_points_exit_2(self, runner, tmp_path):
+        csv = write(tmp_path / "d.csv", "1\n1\n1\n2\n")
+        probs = tmp_path / "p.csv"
+        result = runner.invoke(main, [
+            "mmcc", csv, "--k", "4", "--rounds", "10", "--probs-out", str(probs),
+        ])
+        assert result.exit_code == 2
+        assert "data holds only 2 distinct points, need k=4" in result.output
+        assert not probs.exists()
+
+    @pytest.mark.parametrize("text", ["1,2\n3\n", "1;2\n3;4\n"],
+                             ids=["ragged", "first-line-read-as-header"])
+    def test_parse_error_names_file_and_line(self, runner, tmp_path, text):
+        csv = write(tmp_path / "d.csv", text)
+        result = runner.invoke(main, [
+            "mmcc", csv, "--k", "1", "--rounds", "2", "--probs-out", str(tmp_path / "p.csv"),
+        ])
+        assert result.exit_code == 2
+        assert "d.csv:2:" in result.output
+
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_cell_exit_2(self, runner, tmp_path, cell):
         # the header, the blank line and the comment line all count toward the line number

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from truematch import (
+    DegenerateResample,
     FictitiousClusterer,
     LabelVector,
+    LloydClusterer,
     ProbMatrix,
     VoteMatrix,
     build_truth,
@@ -14,6 +16,7 @@ from truematch import (
     random_clusterer,
     true_class_clusterer,
 )
+from truematch.mmcc import _squared_distances
 
 
 class TestMajorityLabels:
@@ -129,6 +132,24 @@ class TestMmccRun:
         stats = cic_stats(probs)
         assert stats.uncertainty == 0.0 and stats.cic == 0.0
 
+    def test_short_resamples_redrawn(self):
+        # six distinct points and k=4: some resamples hold fewer than four
+        votes, _ = mmcc_run(np.arange(6.0), 4, lloyd_base_clusterer(), "truematch", 20,
+                            np.random.default_rng(0))
+        assert votes.rounds == 20
+        assert np.all(votes.votes.sum(axis=1) == 20)
+
+    def test_redraw_budget_exhausted(self):
+        class NeverFits:
+            def fit(self, data, idx, k, rng):
+                raise DegenerateResample("never")
+
+            def predict(self, model, data):
+                raise AssertionError("unreachable")
+
+        with pytest.raises(ValueError, match="no resample in 1000 draws"):
+            mmcc_run(np.zeros(10), 2, NeverFits(), "truematch", 5, np.random.default_rng(0))
+
     def test_early_stop_window(self):
         truth = build_truth(30, 0.5)
         clusterer = true_class_clusterer(truth, np.eye(2), shuffle_labels=False)
@@ -163,6 +184,26 @@ class TestLloydClusterer:
         with pytest.raises(ValueError):
             clusterer.fit(np.array([1.0, 1.0, 1.0]), np.arange(3), 2, np.random.default_rng(0))
 
+    def test_short_resample_signals_redraw(self):
+        # the data has two distinct points but this resample only one; the
+        # generator is untouched, so a redraw continues the same stream
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DegenerateResample, match="resample holds only 1"):
+            lloyd_base_clusterer().fit(np.array([1.0, 2.0]), np.array([0, 0]), 2, rng)
+        assert rng.bit_generator.state == state
+
+    def test_too_few_distinct_points_in_data_named(self):
+        with pytest.raises(ValueError, match="data holds only 2 distinct points") as err:
+            lloyd_base_clusterer().fit(np.array([1.0, 1.0, 1.0, 2.0]), np.arange(4), 4,
+                                       np.random.default_rng(0))
+        assert not isinstance(err.value, DegenerateResample)
+
+    def test_non_finite_data_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            lloyd_base_clusterer().fit(np.array([0.0, np.nan, 1.0]), np.arange(3), 2,
+                                       np.random.default_rng(0))
+
     def test_uniform_data_fuzzifies(self):
         # structureless data must leave visible uncertainty (the boundary
         # cases flip sides across resamples), unlike the separable case's
@@ -172,6 +213,87 @@ class TestLloydClusterer:
         _, probs = mmcc_run(data, 2, lloyd_base_clusterer(), "truematch", 150,
                             np.random.default_rng(14))
         assert cic_stats(probs).uncertainty > 0.02
+
+
+class _ReferenceLloyd(LloydClusterer):
+    """The plain row-major Lloyd loop.  The bundled clusterer must give the
+    same centroids, labels and generator stream bit for bit."""
+
+    def fit(self, data, resample_indices, k, rng):
+        pts = self._as_points(data)
+        sample = pts[np.asarray(resample_indices, dtype=np.int64)]
+        distinct = np.unique(sample, axis=0)
+        if distinct.shape[0] < k:
+            raise ValueError(f"resample holds only {distinct.shape[0]} distinct points")
+        centroids = distinct[rng.choice(distinct.shape[0], size=k, replace=False)]
+        for _ in range(self.iterations):
+            dist = ((sample[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            owner = dist.argmin(axis=1)
+            updated = centroids.copy()
+            for j in range(k):
+                members = owner == j
+                if members.any():
+                    updated[j] = sample[members].mean(axis=0)
+            if np.allclose(updated, centroids):
+                break
+            centroids = updated
+        return centroids
+
+    def predict(self, model, data):
+        pts = self._as_points(data)
+        dist = ((pts[:, None, :] - model[None, :, :]) ** 2).sum(axis=2)
+        return LabelVector(dist.argmin(axis=1) + 1, model.shape[0])
+
+
+def _equivalence_data(kind, d, rng):
+    n = int(rng.integers(20, 200))
+    if kind == "continuous":
+        centers = 3.0 * rng.integers(0, 3, size=(n, 1))
+        data = centers + rng.normal(size=(n, d)) * 10.0 ** rng.integers(-2, 3)
+    elif kind == "far from origin":
+        # moves below the relative convergence tolerance still change labels
+        offset = 10.0 ** rng.integers(3, 7)
+        data = offset + 3.0 * rng.integers(0, 3, size=(n, 1)) + rng.normal(size=(n, d))
+    elif kind == "integer grid":
+        data = rng.integers(0, 3, size=(n, d)).astype(float)
+    else:  # rounded: many repeated rows and ties in single coordinates
+        data = np.round(rng.normal(size=(n, d)), 1)
+    return data[:, 0] if d == 1 and rng.random() < 0.5 else data
+
+
+class TestLloydEquivalence:
+    # d < 8 and d >= 8 sum squared distances in different orders inside
+    # numpy; d = 1 sums centroid coordinates pairwise
+    @pytest.mark.parametrize("d", [1, 4, 8, 9, 10, 11, 12])
+    @pytest.mark.parametrize("kind", ["continuous", "far from origin", "integer grid", "rounded"])
+    def test_matches_reference(self, d, kind):
+        rng = np.random.default_rng([d, len(kind)])
+        fast, slow = lloyd_base_clusterer(), _ReferenceLloyd()
+        for _ in range(8):
+            data = _equivalence_data(kind, d, rng)
+            n = data.shape[0]
+            picks = rng.integers(0, n, n)
+            points = data.reshape(n, -1)
+            available = np.unique(points[picks], axis=0).shape[0]
+            for k in sorted({1, min(3, available), available}):
+                seed = int(rng.integers(2**32))
+                fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                model = fast.fit(data, picks, k, fast_rng)
+                expected = slow.fit(data, picks, k, slow_rng)
+                assert np.array_equal(model, expected)
+                assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+                assert np.array_equal(fast.predict(model, data).labels,
+                                      slow.predict(expected, data).labels)
+
+    @pytest.mark.parametrize("d", range(1, 17))
+    def test_squared_distances_sum_in_numpy_order(self, d):
+        # a last-ulp difference seldom flips a label, so compare the sums
+        rng = np.random.default_rng(d)
+        points = rng.normal(size=(500, d)) * 10.0 ** rng.integers(-3, 4, size=(500, d))
+        centroids = rng.normal(size=(5, d))
+        expected = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2).T
+        got = _squared_distances(points, np.ascontiguousarray(points.T), centroids)
+        assert np.array_equal(got, expected)
 
 
 class TestFictitiousClusterer:
