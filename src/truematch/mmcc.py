@@ -36,7 +36,6 @@ __all__ = [
     "ProbMatrix",
     "CicStats",
     "DegenerateResample",
-    "REDRAW_BUDGET",
     "majority_labels",
     "mmcc_run",
     "cic_stats",
@@ -141,10 +140,9 @@ def mmcc_run(
     predicted vector as-is (it seeds the label space).  Every later round
     estimates current memberships by row majority, aligns the fresh
     prediction to them via ``matcher`` on their crosstab, and votes the
-    aligned labels.  Stops after
-    ``rounds`` rounds, or earlier when ``early_stop_window`` is set and
-    the membership matrix moved less than ``early_stop_tol`` in max norm
-    over that many rounds.
+    aligned labels.  Stops after ``rounds`` rounds, or earlier when
+    ``early_stop_window`` is set and the membership matrix moved less
+    than ``early_stop_tol`` in max norm over that many rounds.
 
     Returns the vote matrix and its row-normalized probability matrix.
     """
@@ -254,9 +252,9 @@ class LloydClusterer:
         for _ in range(self.iterations):
             owner = _nearest(sample, sample_t, centroids)
             counts = np.bincount(owner, minlength=k)
+            sums = _cluster_sums(sample_t, owner, k)
             filled = counts > 0
             updated = centroids.copy()
-            sums = _cluster_sums(sample, sample_t, owner, k)
             updated[filled] = sums[filled] / counts[filled, None]
             # np.allclose(updated, centroids) for finite values, without its overhead
             if (np.abs(updated - centroids) <= 1e-8 + 1e-5 * np.abs(centroids)).all():
@@ -313,16 +311,12 @@ def _squared_distances(points: np.ndarray, points_t: np.ndarray,
     return ((points[None, :, :] - centroids[:, None, :]) ** 2).sum(axis=2)
 
 
-def _cluster_sums(sample: np.ndarray, sample_t: np.ndarray, owner: np.ndarray,
-                  k: int) -> np.ndarray:
+def _cluster_sums(sample_t: np.ndarray, owner: np.ndarray, k: int) -> np.ndarray:
     """(k, d) coordinate sums per cluster, added in the order
-    ``sample[owner == j].mean(axis=0)`` adds them.
-
-    numpy sums the rows of an (m, d) block one after another, as
-    ``bincount`` does, but an (m, 1) column pairwise.
-    """
-    if sample.shape[1] == 1:
-        return np.array([sample[owner == j].sum(axis=0) for j in range(k)])
+    ``sample[owner == j].mean(axis=0)`` adds them: row after row, as
+    ``bincount`` does, except that numpy sums a single column pairwise."""
+    if sample_t.shape[0] == 1:
+        return np.array([[sample_t[0, owner == j].sum()] for j in range(k)])
     return np.stack([np.bincount(owner, weights=col, minlength=k) for col in sample_t], axis=1)
 
 
