@@ -10,13 +10,16 @@ Exit codes: 0 success, 2 input/validation error, 3 internal failure.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
 import numpy as np
 
 from .agreement import adjusted_rand, cohen_kappa, diagonal_fraction, rand_index
-from .crosstab import crosstab, residuals
+# residuals is not called here but stays a module attribute: the span
+# tracer in perfbench/spans.py wraps truematch.cli.residuals
+from .crosstab import crosstab, residuals  # noqa: F401
 from .labels import LabelParseError, canonical_pair, parse_labels
 from .matching import MATCHERS, resolve_matcher
 from .mmcc import cic_stats, lloyd_base_clusterer, mmcc_run
@@ -26,20 +29,78 @@ DEFAULT_SEED = 0
 _MATCHER_NAMES = sorted(MATCHERS)
 
 
-def _round6(value):
-    """Recursively round floats to 6 significant digits for stable output."""
+def _json_text(value, nl: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` prints it
+    once every float, numpy arrays included, is rounded to 6 significant
+    digits.  ``nl`` is the newline and indent of the enclosing level.
+
+    Each numpy array is rendered row by row through C-level ``map``s
+    instead of one Python call per number.
+    """
+    if isinstance(value, (str, bool)) or value is None:
+        return json.dumps(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, float):
-        return float(f"{value:.6g}")
+        return _float_text(value)
+    inner = nl + "  "
     if isinstance(value, dict):
-        return {k: _round6(v) for k, v in value.items()}
+        if not value:
+            return "{}"
+        items = [f"{_key_text(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if isinstance(value, np.ndarray):
+        if value.ndim and value.dtype.kind in "iuf":
+            return _nest(_array_items(value), value.shape, nl)
+        return _json_text(value.tolist(), nl)
     if isinstance(value, (list, tuple)):
-        return [_round6(v) for v in value]
-    return value
+        return _bracket([_json_text(item, inner) for item in value], nl)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _float_text(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(float(f"{x:.6g}"))
+    return json.dumps(x)  # NaN, Infinity, -Infinity
+
+
+def _key_text(key) -> str:
+    # json prints int, float, bool and None keys as quoted JSON scalars
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = json.dumps(key)
+    return json.dumps(key)
+
+
+def _array_items(arr: np.ndarray) -> list[str]:
+    """The JSON text of each element of an integer or float array, row-major."""
+    values = arr.ravel().tolist()
+    if arr.dtype.kind in "iu":
+        return list(map(int.__repr__, values))
+    if np.isfinite(arr).all():
+        return list(map(float.__repr__, map(float, map("{:.6g}".format, values))))
+    return list(map(_float_text, values))
+
+
+def _nest(items: list[str], shape: tuple[int, ...], nl: str) -> str:
+    """Bracket the row-major element texts of an array of ``shape``."""
+    if len(shape) > 1:
+        step = math.prod(shape[1:])
+        inner = nl + "  "
+        items = [_nest(items[i * step:(i + 1) * step], shape[1:], inner) for i in range(shape[0])]
+    return _bracket(items, nl)
+
+
+def _bracket(items: list[str], nl: str) -> str:
+    if not items:
+        return "[]"
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(_round6(payload), indent=2, sort_keys=True) + "\n"
-    _emit_text(text, out_path)
+    _emit_text(_json_text(payload) + "\n", out_path)
 
 
 def _emit_text(text: str, out_path: str | None) -> None:
@@ -100,24 +161,25 @@ def _load_matrix_csv(path: str) -> np.ndarray:
 
 def _data_lines(path: str, skip: int) -> list[tuple[int, str]]:
     """(1-based line number, text) of each line np.loadtxt reads as a row:
-    past the header, with comments cut and blank lines dropped."""
+    past the header, with comments cut and empty lines dropped (a line of
+    spaces is a row to numpy)."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        cut = [(i, raw.split("#")[0]) for i, raw in enumerate(fh, start=1) if i > skip]
-    return [(i, text) for i, text in cut if text.strip()]
+        cut = [(i, raw.split("#")[0].rstrip("\n")) for i, raw in enumerate(fh, start=1) if i > skip]
+    return [(i, text) for i, text in cut if text]
 
 
 def _first_bad_line(path: str, skip: int) -> str | None:
     """'LINE: reason' for the first row that is not as many numbers as the first row."""
     width = None
     for line, text in _data_lines(path, skip):
-        cells = text.split(",")
         try:
-            [float(cell) for cell in cells]
+            # numpy's own parser: Python's float() also takes '1_0' and non-ASCII digits
+            values = np.loadtxt([text], delimiter=",", ndmin=1).size
         except ValueError:
             return f"{line}: cannot read {text.strip()!r} as comma-separated numbers"
-        width = width or len(cells)
-        if len(cells) != width:
-            return f"{line}: {len(cells)} values where the first row has {width}"
+        width = width or values
+        if values != width:
+            return f"{line}: {values} values where the first row has {width}"
     return None
 
 
@@ -161,16 +223,15 @@ def match(labels_a, labels_b, method, seed, out):
         table = _load_table(labels_a, labels_b)
         rng = np.random.default_rng(seed)
         result = resolve_matcher(method)(table, rng)
-        res = residuals(table)
         payload = {
             "method": method,
             "seed": seed,
-            "perm": result.perm.tolist(),
+            "perm": result.perm,
             "pairs": [[p.row, p.column, p.signed_dev, p.count] for p in result.pairs],
-            "table_before": table.counts.tolist(),
-            "table_after": result.matched_table.counts.tolist(),
-            "signed_residuals": res.signed.tolist(),
-            "chi2": res.chi2,
+            "table_before": table.counts,
+            "table_after": result.matched_table.counts,
+            "signed_residuals": result.residuals.signed,
+            "chi2": result.residuals.chi2,
         }
         _emit_json(payload, out)
 
@@ -213,7 +274,7 @@ def mmcc(data_csv, k, rounds, matcher, seed, probs_out, stats_out):
         rng = np.random.default_rng(seed)
         votes, probs = mmcc_run(data, k, lloyd_base_clusterer(), matcher, rounds, rng)
         stats = cic_stats(probs)
-        lines = [",".join(f"{x:.6g}" for x in row) for row in probs.probs]
+        lines = [",".join(map("{:.6g}".format, row)) for row in probs.probs.tolist()]
         _emit_text("\n".join(lines) + "\n", probs_out)
         payload = {
             "H": stats.uncertainty,
@@ -256,7 +317,7 @@ def simulate(scenario, matcher, seed, runs, p_grid, kappa_grid, rounds, fixed, n
                 "matcher": res.matcher,
                 "runs": res.runs,
                 "seed": seed,
-                "expected_table_percent": (res.table_share * 100.0).tolist(),
+                "expected_table_percent": res.table_share * 100.0,
                 "diagonal": res.diagonal,
                 "kappa": res.kappa,
                 "rand": res.rand,

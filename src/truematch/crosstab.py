@@ -106,8 +106,7 @@ def crosstab(a, b, k: int | None = None) -> MatchingTable:
         )
     if min(la.min(), lb.min()) < 1 or max(la.max(), lb.max()) > k:
         raise ValueError(f"labels outside 1..{k}")
-    counts = np.zeros((k, k), dtype=np.int64)
-    np.add.at(counts, (la - 1, lb - 1), 1)
+    counts = np.bincount((la - 1) * k + (lb - 1), minlength=k * k).reshape(k, k)
     return MatchingTable(counts)
 
 

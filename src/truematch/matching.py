@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .assignment import inverse_permutation, solve_assignment
-from .crosstab import MatchingTable, residuals
+from .crosstab import MatchingTable, ResidualMatrix, residuals
 
 __all__ = [
     "MatchResult",
@@ -88,6 +88,9 @@ class MatchResult:
     seed_trace : dict
         Random draws consumed while matching (shuffles, tie draws), for
         reproducibility audits.
+    residuals : ResidualMatrix
+        Signed chi-squared residuals of the full input table, as the
+        matcher computed them.
     """
 
     method: str
@@ -97,6 +100,7 @@ class MatchResult:
     row_order: np.ndarray
     col_order: np.ndarray
     seed_trace: dict
+    residuals: ResidualMatrix
 
 
 def _finish(
@@ -105,16 +109,16 @@ def _finish(
     method: str,
     rng: np.random.Generator,
     seed_trace: dict,
-    signed: np.ndarray,
+    res: ResidualMatrix,
     pair_order: np.ndarray | None = None,
     pair_signed: np.ndarray | None = None,
 ) -> MatchResult:
     """Assemble a MatchResult from a 0-based row->column assignment and
-    the signed residuals of the full table."""
+    the residuals of the full table."""
     k = table.k
     rows = np.arange(k)
     cols = row_to_col
-    s_vals = signed[rows, cols]
+    s_vals = res.signed[rows, cols]
     n_vals = table.counts[rows, cols]
 
     draws = rng.uniform(size=k)
@@ -146,6 +150,7 @@ def _finish(
         row_order=row_order + 1,
         col_order=col_order + 1,
         seed_trace=seed_trace,
+        residuals=res,
     )
 
 
@@ -153,14 +158,14 @@ def _match_by_assignment(table: MatchingTable, rng: np.random.Generator, method:
     k = table.k
     row_shuffle = rng.permutation(k)
     col_shuffle = rng.permutation(k)
-    signed = residuals(table).signed
-    score = signed if method == TRUEMATCH else table.counts.astype(float)
+    res = residuals(table)
+    score = res.signed if method == TRUEMATCH else table.counts.astype(float)
     shuffled_assign = solve_assignment(score[np.ix_(row_shuffle, col_shuffle)], "maximize") - 1
     # Shuffled row i is original row row_shuffle[i]; likewise for columns.
     row_to_col = np.empty(k, dtype=np.int64)
     row_to_col[row_shuffle] = col_shuffle[shuffled_assign]
     trace = {"row_shuffle": row_shuffle.tolist(), "col_shuffle": col_shuffle.tolist()}
-    return _finish(table, row_to_col, method, rng, trace, signed)
+    return _finish(table, row_to_col, method, rng, trace, res)
 
 
 def match_tracemax(table: MatchingTable, rng: np.random.Generator) -> MatchResult:
@@ -189,7 +194,7 @@ def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) ->
     The final remaining row/column pair is matched directly.
     """
     k = table.k
-    full_signed = residuals(table).signed
+    full = residuals(table)
     live_rows = np.arange(k)
     live_cols = np.arange(k)
     row_to_col = np.empty(k, dtype=np.int64)
@@ -197,7 +202,7 @@ def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) ->
     pair_order = np.empty(k, dtype=np.int64)
     sel_signed = np.zeros(k)
     tie_draws: list[int] = []
-    sub, signed = table.counts, full_signed
+    sub, signed = table.counts, full.signed
     for step in range(k - 1):
         if step:
             sub = table.counts[np.ix_(live_rows, live_cols)]
@@ -233,7 +238,7 @@ def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) ->
         TRUEMATCH_HEURISTIC,
         rng,
         trace,
-        full_signed,
+        full,
         pair_order=pair_order,
         pair_signed=sel_signed,
     )

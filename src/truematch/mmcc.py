@@ -115,9 +115,12 @@ def majority_labels(votes, rng: np.random.Generator) -> LabelVector:
     v = votes.votes if isinstance(votes, VoteMatrix) else np.asarray(votes, dtype=np.int64)
     if v.ndim != 2 or v.size == 0:
         raise ValueError("votes must be a non-empty 2-D matrix")
-    if (v.sum(axis=1) == 0).any():
+    # numpy reduces along a short last axis one row at a time, so reduce
+    # down the rows of the K x N transpose instead
+    columns = np.ascontiguousarray(v.T)
+    if (columns.sum(axis=0) == 0).any():
         raise ValueError("majority undefined: some rows hold no votes")
-    top = v == v.max(axis=1, keepdims=True)
+    top = v == columns.max(axis=0)[:, None]
     draw = rng.uniform(size=v.shape)
     labels = np.where(top, draw, -1.0).argmax(axis=1) + 1
     return LabelVector(labels.astype(np.int64), v.shape[1])

@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import truematch.cli
+import truematch.matching
+from truematch import MatchingTable, residuals
 from truematch.cli import main
 
 
@@ -57,6 +60,23 @@ class TestMatch:
         result = runner.invoke(main, ["match", a, b])
         assert result.exit_code == 2
         assert "a.txt:2" in result.output
+
+
+    @pytest.mark.parametrize("method", ["truematch", "tracemax"])
+    def test_residuals_computed_once(self, runner, outlier_files, monkeypatch, method):
+        calls = []
+
+        def counted(table):
+            calls.append(table.k)
+            return residuals(table)
+
+        monkeypatch.setattr(truematch.matching, "residuals", counted)
+        monkeypatch.setattr(truematch.cli, "residuals", counted)
+        result = runner.invoke(main, ["match", *outlier_files, "--method", method])
+        assert result.exit_code == 0, result.output
+        assert calls == [2]
+        out = json.loads(result.output)
+        assert out["chi2"] == pytest.approx(residuals(MatchingTable(out["table_before"])).chi2, rel=1e-5)
 
 
 class TestAgree:
@@ -139,8 +159,8 @@ class TestMmcc:
         assert "data holds only 2 distinct points, need k=4" in result.output
         assert not probs.exists()
 
-    @pytest.mark.parametrize("text", ["1,2\n3\n", "1;2\n3;4\n"],
-                             ids=["ragged", "first-line-read-as-header"])
+    @pytest.mark.parametrize("text", ["1,2\n3\n", "1;2\n3;4\n", "1,2\n  \n3,4\n", "1,2\n\uff10,4\n"],
+                             ids=["ragged", "first-line-read-as-header", "spaces-only", "fullwidth-digit"])
     def test_parse_error_names_file_and_line(self, runner, tmp_path, text):
         csv = write(tmp_path / "d.csv", text)
         result = runner.invoke(main, [

@@ -54,6 +54,18 @@ class TestCrosstab:
         assert table.col_sums.tolist() == [2, 3]
         assert table.total == 5
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=400),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_counts_equal_add_at_reference(self, k, n, seed):
+        rng = np.random.default_rng(seed)
+        a, b = rng.integers(1, k + 1, n), rng.integers(1, k + 1, n)
+        reference = np.zeros((k, k), dtype=np.int64)
+        np.add.at(reference, (a - 1, b - 1), 1)
+        table = crosstab(a, b, k)
+        assert table.counts.dtype == np.int64
+        assert np.array_equal(table.counts, reference)
+
 
 class TestResiduals:
     def test_missed_outlier_values(self):

@@ -142,6 +142,19 @@ class TestResultShape:
             for i in range(k):
                 assert res.perm[res.col_order[i] - 1] == res.row_order[i]
 
+    @pytest.mark.parametrize("matcher", ["tracemax", "truematch", "truematch-heuristic"])
+    def test_carries_full_table_residuals(self, matcher):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            k = int(rng.integers(1, 7))
+            table = MatchingTable(rng.integers(0, 25, (k, k)) + np.eye(k, dtype=int))
+            res = resolve_matcher(matcher)(table, rng)
+            full = residuals(table)
+            assert np.array_equal(res.residuals.signed, full.signed)
+            assert res.residuals.chi2 == full.chi2
+            for pair in res.pairs if matcher != "truematch-heuristic" else ():
+                assert pair.signed_dev == full.signed[pair.row - 1, pair.column - 1]
+
     def test_aligned_table_matches_apply_permutation(self):
         rng = np.random.default_rng(55)
         a = rng.integers(1, 4, 60)

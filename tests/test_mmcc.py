@@ -41,6 +41,30 @@ class TestMajorityLabels:
         with pytest.raises(ValueError):
             majority_labels(np.array([[0, 0], [1, 0]]), np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n, k", [(1, 1), (5, 2), (2000, 4), (300, 12)])
+    def test_equals_row_argmax_reference(self, n, k):
+        # the expression majority_labels used before it reduced down the transpose
+        def reference(v, rng):
+            top = v == v.max(axis=1, keepdims=True)
+            draw = rng.uniform(size=v.shape)
+            return np.where(top, draw, -1.0).argmax(axis=1) + 1
+
+        for seed in range(50):
+            votes = np.random.default_rng(seed).integers(0, 4, (n, k))
+            votes[:, 0] += 1  # every row holds a vote; small counts leave many ties
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            labels = majority_labels(VoteMatrix(votes, 3), rng)
+            assert labels.n_clusters == k
+            assert np.array_equal(labels.labels, reference(votes, ref_rng))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_zero_row_rejected_before_drawing(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            majority_labels(np.array([[2, 1], [0, 0]]), rng)
+        assert rng.bit_generator.state == state
+
 
 class TestCicStats:
     def test_single_column_crisp(self):
