@@ -32,7 +32,8 @@ _MATCHER_NAMES = sorted(MATCHERS)
 def _json_text(value, nl: str = "\n") -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` prints it
     once every float, numpy arrays included, is rounded to 6 significant
-    digits.  ``nl`` is the newline and indent of the enclosing level.
+    digits.  Keys must be strings; ``nl`` is the newline and indent of the
+    enclosing level.
 
     Each numpy array is rendered row by row through C-level ``map``s
     instead of one Python call per number.
@@ -47,7 +48,7 @@ def _json_text(value, nl: str = "\n") -> str:
     if isinstance(value, dict):
         if not value:
             return "{}"
-        items = [f"{_key_text(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
+        items = [f"{json.dumps(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if isinstance(value, np.ndarray):
         if value.ndim and value.dtype.kind in "iuf":
@@ -62,15 +63,6 @@ def _float_text(x: float) -> str:
     if math.isfinite(x):
         return float.__repr__(float(f"{x:.6g}"))
     return json.dumps(x)  # NaN, Infinity, -Infinity
-
-
-def _key_text(key) -> str:
-    # json prints int, float, bool and None keys as quoted JSON scalars
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-        key = json.dumps(key)
-    return json.dumps(key)
 
 
 def _array_items(arr: np.ndarray) -> list[str]:
