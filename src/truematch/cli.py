@@ -105,7 +105,7 @@ def _emit_text(text: str, out_path: str | None) -> None:
 
 def _load_labels(path: str):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return parse_labels(fh)
     except LabelParseError as err:
         where = f"{path}:{err.line}" if err.line is not None else path
@@ -127,48 +127,46 @@ def _load_table(labels_a: str, labels_b: str):
 
 
 def _load_matrix_csv(path: str) -> np.ndarray:
-    skip = 0
     try:
-        with open(path, "r", encoding="utf-8", errors="replace") as fh:
-            first = fh.readline()
-        try:
-            [float(tok) for tok in first.replace(",", " ").split()]
-        except ValueError:
-            skip = 1
-        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+        # undecodable bytes are replaced: in a header or comment they are
+        # dropped with it, in a data row they make that row unreadable
+        with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
+            lines = fh.read().split("\n")
     except OSError as err:
         raise click.ClickException(f"{path}: {err}") from err
-    except ValueError as err:
-        # numpy's row numbers count neither alike nor from the top of the file
-        located = _first_bad_line(path, skip)
-        raise click.ClickException(f"{path}:{located}" if located else f"{path}: {err}") from err
-    if data.size == 0:
+    try:
+        [float(tok) for tok in lines[0].replace(",", " ").split()]
+        skip = 0
+    except ValueError:
+        skip = 1  # a header
+    # (1-based line number, text) of each data row: past the header, with
+    # comments cut and empty lines dropped (a line of spaces is a row)
+    rows = [(i, text) for i, line in enumerate(lines[skip:], start=skip + 1)
+            if (text := line.partition("#")[0])]
+    if not rows:
         raise click.ClickException(f"{path}: no numeric rows")
+    try:
+        data = np.loadtxt([text for _, text in rows], delimiter=",", ndmin=2)
+    except ValueError as err:
+        # numpy's row numbers count from the first data row, not the top of the file
+        located = _first_bad_line(rows)
+        raise click.ClickException(f"{path}:{located}" if located else f"{path}: {err}") from err
     bad_rows = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad_rows.size:
-        line, _ = _data_lines(path, skip)[bad_rows[0]]
+        line, _ = rows[bad_rows[0]]
         raise click.ClickException(f"{path}:{line}: non-finite value (nan or inf)")
     return data
 
 
-def _data_lines(path: str, skip: int) -> list[tuple[int, str]]:
-    """(1-based line number, text) of each line np.loadtxt reads as a row:
-    past the header, with comments cut and empty lines dropped (a line of
-    spaces is a row to numpy)."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        cut = [(i, raw.split("#")[0].rstrip("\n")) for i, raw in enumerate(fh, start=1) if i > skip]
-    return [(i, text) for i, text in cut if text]
-
-
-def _first_bad_line(path: str, skip: int) -> str | None:
+def _first_bad_line(rows: list[tuple[int, str]]) -> str | None:
     """'LINE: reason' for the first row that is not as many numbers as the first row."""
     width = None
-    for line, text in _data_lines(path, skip):
+    for line, text in rows:
         try:
             # numpy's own parser: Python's float() also takes '1_0' and non-ASCII digits
             values = np.loadtxt([text], delimiter=",", ndmin=1).size
         except ValueError:
-            return f"{line}: cannot read {text.strip()!r} as comma-separated numbers"
+            return f"{line}: cannot read {text!r} as comma-separated numbers"
         width = width or values
         if values != width:
             return f"{line}: {values} values where the first row has {width}"

@@ -22,7 +22,7 @@ from .agreement import adjusted_rand, cohen_kappa, diagonal_fraction, rand_index
 from .crosstab import crosstab
 from .labels import LabelVector, _label_array
 from .matching import resolve_matcher
-from .mmcc import REDRAW_BUDGET, ProbMatrix, VoteMatrix, cic_stats, majority_labels
+from .mmcc import REDRAW_BUDGET, CicStats, ProbMatrix, VoteMatrix, cic_stats, majority_labels
 
 __all__ = [
     "SimulationConfig",
@@ -203,16 +203,14 @@ def simulate_cell(cfg: SimulationConfig) -> CellResult:
         accepted += 1
 
     voted = votes.sum(axis=1) > 0
-    if not voted.any():
-        return CellResult(
-            p=cfg.p, kappa=cfg.kappa,
-            uncertainty=float("nan"), information=float("nan"), cic=float("nan"),
-            degenerate=True, fixed=cfg.fixed, matcher=cfg.matcher, seed=cfg.seed,
-        )
-    active = votes[voted]
-    stats = cic_stats(ProbMatrix(active / active.sum(axis=1, keepdims=True)))
-    final = majority_labels(VoteMatrix(active, accepted), rng)
-    degenerate = accepted < cfg.rounds or np.unique(final.labels).size < 2
+    if voted.any():
+        active = votes[voted]
+        stats = cic_stats(ProbMatrix(active / active.sum(axis=1, keepdims=True)))
+        final = majority_labels(VoteMatrix(active, accepted), rng)
+        degenerate = accepted < cfg.rounds or np.unique(final.labels).size < 2
+    else:
+        stats = CicStats(*[float("nan")] * 4)
+        degenerate = True
     return CellResult(
         p=cfg.p, kappa=cfg.kappa,
         uncertainty=stats.uncertainty, information=stats.information, cic=stats.cic,

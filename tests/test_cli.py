@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,16 @@ class TestAgree:
         payload = json.loads(result.output)
         assert payload["diagonal"] == payload["kappa"] == payload["rand"] == payload["crand"] == 1.0
 
+    @pytest.mark.parametrize("header", [b"", b"label\n"], ids=["no-header", "label-header"])
+    def test_bom_is_not_part_of_the_first_label(self, runner, tmp_path, header):
+        plain = write(tmp_path / "plain.txt", "a\nb\na\n")
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + header + b"a\nb\na\n")
+        result = runner.invoke(main, ["agree", str(bom), plain])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert (payload["K"], payload["N"], payload["rand"]) == (2, 3, 1.0)
+
     def test_single_cluster_pair(self, runner, tmp_path):
         path = write(tmp_path / "x.txt", "a\na\na\n")
         result = runner.invoke(main, ["agree", path, path])
@@ -159,15 +170,61 @@ class TestMmcc:
         assert "data holds only 2 distinct points, need k=4" in result.output
         assert not probs.exists()
 
-    @pytest.mark.parametrize("text", ["1,2\n3\n", "1;2\n3;4\n", "1,2\n  \n3,4\n", "1,2\n\uff10,4\n"],
-                             ids=["ragged", "first-line-read-as-header", "spaces-only", "fullwidth-digit"])
-    def test_parse_error_names_file_and_line(self, runner, tmp_path, text):
+    @pytest.mark.parametrize("text,reason", [
+        ("1,2\n3\n", "1 values where the first row has 2"),
+        ("1;2\n3;4\n", "cannot read '3;4' as comma-separated numbers"),
+        ("1,2\n  \n3,4\n", "cannot read '  ' as comma-separated numbers"),
+        ("1,2\n\uff10,4\n", "cannot read '\uff10,4' as comma-separated numbers"),
+        ("1,2\n\t\n3,4\n", "cannot read '\\t' as comma-separated numbers"),
+    ], ids=["ragged", "first-line-read-as-header", "spaces-only", "fullwidth-digit", "tab-only"])
+    def test_parse_error_names_file_and_line(self, runner, tmp_path, text, reason):
         csv = write(tmp_path / "d.csv", text)
         result = runner.invoke(main, [
             "mmcc", csv, "--k", "1", "--rounds", "2", "--probs-out", str(tmp_path / "p.csv"),
         ])
         assert result.exit_code == 2
-        assert "d.csv:2:" in result.output
+        assert f"d.csv:2: {reason}" in result.output
+
+    @pytest.mark.parametrize("text", ["", "x,y\n", "\n# note\n\n"], ids=["empty", "header-only", "comment-only"])
+    def test_no_rows_exit_2_without_warning(self, runner, tmp_path, text):
+        csv = write(tmp_path / "d.csv", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, [
+                "mmcc", csv, "--k", "1", "--rounds", "2", "--probs-out", str(tmp_path / "p.csv"),
+            ])
+        assert result.exit_code == 2
+        assert result.output == f"error: {csv}: no numeric rows\n"
+
+    def test_bom_does_not_hide_the_first_row(self, runner, tmp_path):
+        csv = tmp_path / "d.csv"
+        csv.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,6\n")
+        probs = tmp_path / "p.csv"
+        result = runner.invoke(main, [
+            "mmcc", str(csv), "--k", "2", "--rounds", "4", "--probs-out", str(probs),
+        ])
+        assert result.exit_code == 0, result.output
+        assert len(probs.read_text(encoding="utf-8").splitlines()) == 3
+
+    @pytest.mark.parametrize("head", [b"x\xe9,y\n", b"# caf\xe9\n"], ids=["header", "comment"])
+    def test_undecodable_byte_outside_data_rows_is_ignored(self, runner, tmp_path, head):
+        csv = tmp_path / "d.csv"
+        csv.write_bytes(head + b"1,2\n3,4\n5,6\n")
+        probs = tmp_path / "p.csv"
+        result = runner.invoke(main, [
+            "mmcc", str(csv), "--k", "2", "--rounds", "4", "--probs-out", str(probs),
+        ])
+        assert result.exit_code == 0, result.output
+        assert len(probs.read_text(encoding="utf-8").splitlines()) == 3
+
+    def test_undecodable_byte_in_data_row_names_its_line(self, runner, tmp_path):
+        csv = tmp_path / "d.csv"
+        csv.write_bytes(b"x,y\n1,2\n3,\xe9\n5,6\n")
+        result = runner.invoke(main, [
+            "mmcc", str(csv), "--k", "2", "--rounds", "4", "--probs-out", str(tmp_path / "p.csv"),
+        ])
+        assert result.exit_code == 2
+        assert f"{csv}:3: cannot read" in result.output
 
     @pytest.mark.parametrize("cell", ["nan", "inf"])
     def test_non_finite_cell_exit_2(self, runner, tmp_path, cell):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import truematch.simulate
+
 from truematch import (
     SimulationConfig,
     build_truth,
@@ -97,6 +99,15 @@ class TestSimulateCell:
         cell = simulate_cell(cfg)
         assert cell.uncertainty <= 0.05
         assert not cell.degenerate
+
+    def test_starved_cell_is_degenerate_with_nan_statistics(self, monkeypatch):
+        # no redraw budget: no round is accepted and no case votes
+        monkeypatch.setattr(truematch.simulate, "REDRAW_BUDGET", 0)
+        cfg = SimulationConfig(p=0.7, kappa=0.5, rounds=5, fixed=True, matcher="tracemax", seed=4)
+        cell = simulate_cell(cfg)
+        assert np.isnan([cell.uncertainty, cell.information, cell.cic]).all()
+        assert cell.degenerate is True
+        assert (cell.p, cell.kappa, cell.fixed, cell.matcher, cell.seed) == (0.7, 0.5, True, "tracemax", 4)
 
     def test_random_clusterer_uncertain_both_matchers(self):
         cells = {
