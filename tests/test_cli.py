@@ -196,18 +196,11 @@ class TestMmcc:
         assert result.exit_code == 2
         assert result.output == f"error: {csv}: no numeric rows\n"
 
-    def test_bom_does_not_hide_the_first_row(self, runner, tmp_path):
-        csv = tmp_path / "d.csv"
-        csv.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,6\n")
-        probs = tmp_path / "p.csv"
-        result = runner.invoke(main, [
-            "mmcc", str(csv), "--k", "2", "--rounds", "4", "--probs-out", str(probs),
-        ])
-        assert result.exit_code == 0, result.output
-        assert len(probs.read_text(encoding="utf-8").splitlines()) == 3
-
-    @pytest.mark.parametrize("head", [b"x\xe9,y\n", b"# caf\xe9\n"], ids=["header", "comment"])
-    def test_undecodable_byte_outside_data_rows_is_ignored(self, runner, tmp_path, head):
+    @pytest.mark.parametrize("head", [b"\xef\xbb\xbf", b"x\xe9,y\n", b"# caf\xe9\n"],
+                             ids=["bom", "undecodable-header", "undecodable-comment"])
+    def test_head_keeps_every_data_row(self, runner, tmp_path, head):
+        # a BOM must not turn the first row into a header; a bad byte outside
+        # the data rows must not reject the file
         csv = tmp_path / "d.csv"
         csv.write_bytes(head + b"1,2\n3,4\n5,6\n")
         probs = tmp_path / "p.csv"
