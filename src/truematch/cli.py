@@ -51,8 +51,10 @@ def _json_text(value, nl: str = "\n") -> str:
         items = [f"{json.dumps(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if isinstance(value, np.ndarray):
+        if value.ndim > 1:
+            return _bracket([_json_text(row, inner) for row in value], nl)
         if value.ndim and value.dtype.kind in "iuf":
-            return _nest(_array_items(value), value.shape, nl)
+            return _bracket(_array_items(value), nl)
         return _json_text(value.tolist(), nl)
     if isinstance(value, (list, tuple)):
         return _bracket([_json_text(item, inner) for item in value], nl)
@@ -66,22 +68,13 @@ def _float_text(x: float) -> str:
 
 
 def _array_items(arr: np.ndarray) -> list[str]:
-    """The JSON text of each element of an integer or float array, row-major."""
-    values = arr.ravel().tolist()
+    """The JSON text of each element of a 1-D integer or float array."""
+    values = arr.tolist()
     if arr.dtype.kind in "iu":
         return list(map(int.__repr__, values))
     if np.isfinite(arr).all():
         return list(map(float.__repr__, map(float, map("{:.6g}".format, values))))
     return list(map(_float_text, values))
-
-
-def _nest(items: list[str], shape: tuple[int, ...], nl: str) -> str:
-    """Bracket the row-major element texts of an array of ``shape``."""
-    if len(shape) > 1:
-        step = math.prod(shape[1:])
-        inner = nl + "  "
-        items = [_nest(items[i * step:(i + 1) * step], shape[1:], inner) for i in range(shape[0])]
-    return _bracket(items, nl)
 
 
 def _bracket(items: list[str], nl: str) -> str:
