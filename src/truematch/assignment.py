@@ -1,7 +1,7 @@
 """Exact solvers for the square linear sum assignment problem.
 
-``solve_assignment`` is an O(K^3) successive-shortest-augmenting-path
-implementation of the Hungarian method with row/column potentials.
+``solve_assignment`` calls scipy's compiled Jonker-Volgenant solver (Crouse
+2016, "On implementing 2D rectangular assignment algorithms", IEEE TAES).
 ``brute_force_assignment`` enumerates all K! permutations and serves as
 the testing oracle for small K.
 
@@ -12,7 +12,11 @@ its input before solving).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
+import os
+import sys
 
 import numpy as np
 
@@ -27,6 +31,26 @@ __all__ = [
 
 _SENSES = ("minimize", "maximize")
 _BRUTE_FORCE_MAX_K = 8
+
+
+def _load_linear_sum_assignment():
+    """scipy's compiled solver, without ``import scipy.optimize`` (~0.5 s, ~48 MB).
+
+    Its extension file loads by itself in ~1 ms.  Unless already imported, it
+    is registered under its module name, which a later ``scipy.optimize`` reuses."""
+    name = "scipy.optimize._lsap"
+    root = os.path.dirname(importlib.util.find_spec("scipy").origin)
+    path = os.path.join(root, "optimize", "_lsap" + importlib.machinery.EXTENSION_SUFFIXES[0])
+    if not os.path.isfile(path):  # another file layout: the same function, slower to import
+        from scipy.optimize import linear_sum_assignment
+        return linear_sum_assignment
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(module)
+    return sys.modules.setdefault(name, module).linear_sum_assignment
+
+
+_linear_sum_assignment = _load_linear_sum_assignment()
 
 
 def _as_square_matrix(score) -> np.ndarray:
@@ -53,53 +77,8 @@ def solve_assignment(score, sense: str = "minimize") -> np.ndarray:
     """
     score = _as_square_matrix(score)
     _check_sense(sense)
-    cost = score if sense == "minimize" else -score
-    return _shortest_path_assignment(cost) + 1
-
-
-def _shortest_path_assignment(cost: np.ndarray) -> np.ndarray:
-    """Min-cost perfect matching via successive shortest augmenting paths.
-
-    Dual potentials (u, v) keep reduced costs non-negative, so each of
-    the K augmentations is a single Dijkstra pass: O(K^3) overall.
-    Column index K acts as the virtual root of each alternating tree.
-    """
-    n = cost.shape[0]
-    u = np.zeros(n)
-    v = np.zeros(n)
-    col_row = np.full(n + 1, -1, dtype=np.int64)  # row matched to each column; n = virtual root
-    for row in range(n):
-        col_row[n] = row
-        j0 = n
-        min_reduced = np.full(n, np.inf)
-        prev_col = np.full(n, n, dtype=np.int64)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            active_row = col_row[j0]
-            free = ~used[:n]
-            free_idx = np.flatnonzero(free)
-            reduced = cost[active_row, free_idx] - u[active_row] - v[free_idx]
-            better = reduced < min_reduced[free_idx]
-            min_reduced[free_idx[better]] = reduced[better]
-            prev_col[free_idx[better]] = j0
-            j1 = free_idx[np.argmin(min_reduced[free_idx])]
-            delta = min_reduced[j1]
-            in_tree = used[:n]
-            u[col_row[:n][in_tree]] += delta
-            u[row] += delta
-            v[in_tree] -= delta
-            min_reduced[~in_tree] -= delta
-            j0 = j1
-            if col_row[j0] == -1:
-                break
-        while j0 != n:  # augment along the recorded alternating path
-            j_prev = prev_col[j0]
-            col_row[j0] = col_row[j_prev]
-            j0 = j_prev
-    perm = np.empty(n, dtype=np.int64)
-    perm[col_row[:n]] = np.arange(n)
-    return perm
+    _, cols = _linear_sum_assignment(score, maximize=sense == "maximize")
+    return cols + 1
 
 
 def brute_force_assignment(score, sense: str = "minimize") -> np.ndarray:

@@ -98,8 +98,16 @@ def _emit_text(text: str, out_path: str | None) -> None:
 
 def _load_labels(path: str):
     try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            return parse_labels(fh)
+        with open(path, "rb") as fh:
+            # universal newlines as in text mode; CR and LF never occur inside a UTF-8 character
+            raw = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        try:
+            text = raw.decode("utf-8-sig")
+        except UnicodeDecodeError as err:
+            # err.object is the input after any BOM, so count lines in it
+            line = err.object.count(b"\n", 0, err.start) + 1
+            raise LabelParseError(f"byte {err.object[err.start]:#04x} is not UTF-8", line=line) from err
+        return parse_labels(text)
     except LabelParseError as err:
         where = f"{path}:{err.line}" if err.line is not None else path
         raise click.ClickException(f"{where}: {err}") from err
@@ -128,7 +136,7 @@ def _load_matrix_csv(path: str) -> np.ndarray:
     except OSError as err:
         raise click.ClickException(f"{path}: {err}") from err
     try:
-        [float(tok) for tok in lines[0].replace(",", " ").split()]
+        [float(tok) for tok in lines[0].partition("#")[0].replace(",", " ").split()]
         skip = 0
     except ValueError:
         skip = 1  # a header

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import truematch
 from truematch import (
     assignment_value,
     brute_force_assignment,
@@ -30,14 +35,23 @@ class TestSolveAssignment:
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(71)
-        for i in range(120):
+        scores = []
+        for _ in range(120):
             k = int(rng.integers(2, 8))
-            score = rng.integers(-100, 101, size=(k, k)).astype(float)
-            sense = "minimize" if i % 2 else "maximize"
-            fast = solve_assignment(score, sense)
-            slow = brute_force_assignment(score, sense)
-            assert is_permutation(fast)
-            assert assignment_value(score, fast) == assignment_value(score, slow)
+            scores.append(rng.integers(-100, 101, size=(k, k)).astype(float))
+        # tie-heavy inputs have many co-optimal permutations, and the solver
+        # may pick another one than the oracle: only the objectives must agree
+        for k in range(2, 9):
+            scores.append(np.full((k, k), 2.0))
+            for _ in range(10):
+                ternary = rng.integers(-1, 2, size=(k, k)).astype(float)
+                scores += [ternary, ternary[rng.integers(k, size=k)]]  # the second repeats rows
+        for score in scores:
+            for sense in ("minimize", "maximize"):
+                fast = solve_assignment(score, sense)
+                slow = brute_force_assignment(score, sense)
+                assert is_permutation(fast)
+                assert assignment_value(score, fast) == assignment_value(score, slow)
 
     def test_float_scores(self):
         rng = np.random.default_rng(8)
@@ -118,6 +132,24 @@ class TestPermutationHelpers:
         assert is_permutation([2, 1, 3])
         assert not is_permutation([1, 1, 3])
         assert not is_permutation([[1, 2]])
+
+
+def test_compiled_solver_loads_without_scipy_optimize():
+    # importing scipy.optimize would add ~0.5 s and ~48 MB to every CLI run;
+    # if scipy's file layout changes, this fails instead of silently paying that
+    code = """
+import sys
+import numpy as np
+import truematch
+from truematch.assignment import _linear_sum_assignment
+truematch.match_truematch(truematch.MatchingTable([[3, 1], [1, 3]]), np.random.default_rng(0))
+assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
+import scipy.optimize
+assert scipy.optimize.linear_sum_assignment is _linear_sum_assignment, "another solver object"
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(truematch.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_polynomial_runtime_scaling():

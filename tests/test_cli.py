@@ -62,6 +62,14 @@ class TestMatch:
         assert result.exit_code == 2
         assert "a.txt:2" in result.output
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
+    def test_undecodable_byte_names_file_and_line(self, runner, tmp_path, bom):
+        a = tmp_path / "a.txt"
+        a.write_bytes(bom + b"x\ny\n\xff\n")
+        b = write(tmp_path / "b.txt", "x\ny\nz\n")
+        result = runner.invoke(main, ["match", str(a), b])
+        assert result.exit_code == 2
+        assert f"error: {a}:3: byte 0xff is not UTF-8" in result.output
 
     @pytest.mark.parametrize("method", ["truematch", "tracemax"])
     def test_residuals_computed_once(self, runner, outlier_files, monkeypatch, method):
@@ -196,13 +204,14 @@ class TestMmcc:
         assert result.exit_code == 2
         assert result.output == f"error: {csv}: no numeric rows\n"
 
-    @pytest.mark.parametrize("head", [b"\xef\xbb\xbf", b"x\xe9,y\n", b"# caf\xe9\n"],
-                             ids=["bom", "undecodable-header", "undecodable-comment"])
+    @pytest.mark.parametrize(
+        "head", [b"\xef\xbb\xbf1,2", b"x\xe9,y\n1,2", b"# caf\xe9\n1,2", b"1,2 # first"],
+        ids=["bom", "undecodable-header", "undecodable-comment", "commented-first-row"])
     def test_head_keeps_every_data_row(self, runner, tmp_path, head):
-        # a BOM must not turn the first row into a header; a bad byte outside
-        # the data rows must not reject the file
+        # neither a BOM nor a trailing comment may turn the first row into a
+        # header; a bad byte outside the data rows must not reject the file
         csv = tmp_path / "d.csv"
-        csv.write_bytes(head + b"1,2\n3,4\n5,6\n")
+        csv.write_bytes(head + b"\n3,4\n5,6\n")
         probs = tmp_path / "p.csv"
         result = runner.invoke(main, [
             "mmcc", str(csv), "--k", "2", "--rounds", "4", "--probs-out", str(probs),
