@@ -46,7 +46,7 @@ class LabelVector:
     n_clusters: int
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = _label_array(self.labels)
         if labels.ndim != 1 or labels.size == 0:
             raise ValueError("labels must be a non-empty 1-D sequence")
         if self.n_clusters < 1:
@@ -63,7 +63,12 @@ class LabelVector:
 
 
 def _label_array(v) -> np.ndarray:
-    return np.asarray(getattr(v, "labels", v), dtype=np.int64)
+    """Labels of a LabelVector or sequence as int64; float labels must be
+    whole numbers, so 1.5 is rejected instead of truncated to 1."""
+    labels = np.asarray(getattr(v, "labels", v))
+    if labels.dtype.kind == "f" and not np.array_equal(labels, np.rint(labels)):
+        raise ValueError("labels must be whole numbers")
+    return np.asarray(labels, dtype=np.int64)
 
 
 def parse_labels(source) -> tuple[LabelVector, dict[str, int]]:

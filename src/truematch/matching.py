@@ -17,11 +17,11 @@ row/column shuffle of the table decides between co-optimal assignments,
 and explicit uniform draws order tied matched pairs.  Given the same
 table and generator state, results are reproducible bit for bit.
 
-The reported ``matched_table`` renames matched pairs jointly: the pair
-presented first occupies cell (1, 1), the second (2, 2), and so on, with
-presentation order (count desc, signed residual desc, random draw).  For
-a table of two 99:1 labelings with mismatched singletons this yields the
-two off-diagonal orientations with equal probability, so averaging
+The ``matched_table`` (built on read) renames matched pairs jointly: the
+pair presented first occupies cell (1, 1), the second (2, 2), and so on,
+with presentation order (count desc, signed residual desc, random draw).
+For a table of two 99:1 labelings with mismatched singletons this yields
+the two off-diagonal orientations with equal probability, so averaging
 matched tables over random data shows no systematic diagonal.  ``perm``
 is the plain column relabeling that aligns the second labeling to the
 first; use it (not the presentation) to compose matchings.
@@ -30,6 +30,7 @@ first; use it (not the presentation) to compose matchings.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -64,6 +65,9 @@ class MatchedPair(NamedTuple):
 class MatchResult:
     """Outcome of matching the columns of a table to its rows.
 
+    The fields hold what the matcher decided; the attributes marked
+    "on read" present it and are computed when first read.
+
     Attributes
     ----------
     method : str
@@ -71,101 +75,87 @@ class MatchResult:
     perm : ndarray
         Column relabeling aligning the second (column) labeling to the
         first: column label c is renamed to ``perm[c-1]``.
-    pairs : tuple of MatchedPair
-        Matched (row, column) pairs with the full-table signed residual
-        and raw count of each matched cell.  For the residual-based
-        matchers pairs are ordered by signed residual descending (the
-        heuristic reports its selection sequence, which is exactly
-        that order on the shrinking subtables); for tracemax by count
-        descending.  Exact ties follow the recorded random draws.
-    matched_table : MatchingTable
-        The input table with rows and columns jointly renamed so that
-        the i-th presented pair sits at cell (i, i); presentation order
-        is (count desc, signed residual desc, random draw).
-    row_order, col_order : ndarray
-        1-based original row/column of each presented pair, so
-        ``matched_table.counts[i, j] == counts[row_order[i]-1, col_order[j]-1]``.
-    seed_trace : dict
-        Random draws consumed while matching (shuffles, tie draws), for
-        reproducibility audits.
     residuals : ResidualMatrix
         Signed chi-squared residuals of the full input table, as the
         matcher computed them.
+    seed_trace : dict
+        Random draws consumed while matching (shuffles, tie draws), for
+        reproducibility audits.
+    table, row_to_col : MatchingTable, ndarray
+        The input table, and the 0-based column matched to each row.
+    pair_draws : ndarray
+        Uniform draw of each row's pair; it breaks exact ties in both orders.
+    pair_order, pair_signed : ndarray
+        0-based rows in the order ``pairs`` reports them, and the signed
+        residual reported for each row's pair.
+    pairs : tuple of MatchedPair, on read
+        Matched (row, column) pairs with the signed residual and raw
+        count of each matched cell.  For the residual-based matchers
+        pairs are ordered by signed residual descending (the heuristic
+        reports its selection sequence, which is exactly that order on
+        the shrinking subtables, with the selection-time residual); for
+        tracemax by count descending.  Exact ties follow the pair draws.
+    matched_table : MatchingTable, on read
+        The input table with rows and columns jointly renamed so that
+        the i-th presented pair sits at cell (i, i); presentation order
+        is (count desc, full-table signed residual desc, pair draw).
+    row_order, col_order : ndarray, on read
+        1-based original row/column of each presented pair, so
+        ``matched_table.counts[i, j] == counts[row_order[i]-1, col_order[j]-1]``.
     """
 
     method: str
     perm: np.ndarray
-    pairs: tuple[MatchedPair, ...]
-    matched_table: MatchingTable
-    row_order: np.ndarray
-    col_order: np.ndarray
-    seed_trace: dict
     residuals: ResidualMatrix
+    seed_trace: dict
+    table: MatchingTable
+    row_to_col: np.ndarray
+    pair_draws: np.ndarray
+    pair_order: np.ndarray
+    pair_signed: np.ndarray
+
+    @cached_property
+    def row_order(self) -> np.ndarray:
+        rows = np.arange(self.table.k)
+        signed = self.residuals.signed[rows, self.row_to_col]
+        counts = self.table.counts[rows, self.row_to_col]
+        return np.lexsort((self.pair_draws, -signed, -counts)) + 1
+
+    @cached_property
+    def col_order(self) -> np.ndarray:
+        return self.row_to_col[self.row_order - 1] + 1
+
+    @cached_property
+    def matched_table(self) -> MatchingTable:
+        return MatchingTable(self.table.counts[np.ix_(self.row_order - 1, self.col_order - 1)])
+
+    @cached_property
+    def pairs(self) -> tuple[MatchedPair, ...]:
+        return tuple(
+            MatchedPair(int(r) + 1, int(c) + 1, float(self.pair_signed[r]), int(self.table.counts[r, c]))
+            for r, c in zip(self.pair_order, self.row_to_col[self.pair_order])
+        )
 
 
-def _finish(
-    table: MatchingTable,
-    row_to_col: np.ndarray,
-    method: str,
-    rng: np.random.Generator,
-    seed_trace: dict,
-    res: ResidualMatrix,
-    pair_order: np.ndarray | None = None,
-    pair_signed: np.ndarray | None = None,
+def _match_by_assignment(
+    method: str, table: MatchingTable, res: ResidualMatrix, score: np.ndarray, rng: np.random.Generator
 ) -> MatchResult:
-    """Assemble a MatchResult from a 0-based row->column assignment and
-    the residuals of the full table."""
-    k = table.k
-    rows = np.arange(k)
-    cols = row_to_col
-    s_vals = res.signed[rows, cols]
-    n_vals = table.counts[rows, cols]
-
-    draws = rng.uniform(size=k)
-    seed_trace["pair_draws"] = draws.tolist()
-
-    present = np.lexsort((draws, -s_vals, -n_vals))
-    row_order = rows[present]
-    col_order = cols[present]
-    matched = MatchingTable(table.counts[np.ix_(row_order, col_order)])
-
-    if pair_order is None:
-        if method == TRACEMAX:
-            pair_order = np.lexsort((draws, -n_vals))
-        else:
-            pair_order = np.lexsort((draws, -s_vals))
-    reported_s = s_vals if pair_signed is None else pair_signed
-    pairs = tuple(
-        MatchedPair(int(rows[i]) + 1, int(cols[i]) + 1, float(reported_s[i]), int(n_vals[i]))
-        for i in pair_order
-    )
-
-    perm = np.empty(k, dtype=np.int64)
-    perm[cols] = rows + 1  # column label c -> its matched row
-    return MatchResult(
-        method=method,
-        perm=perm,
-        pairs=pairs,
-        matched_table=matched,
-        row_order=row_order + 1,
-        col_order=col_order + 1,
-        seed_trace=seed_trace,
-        residuals=res,
-    )
-
-
-def _match_by_assignment(table: MatchingTable, rng: np.random.Generator, method: str) -> MatchResult:
     k = table.k
     row_shuffle = rng.permutation(k)
     col_shuffle = rng.permutation(k)
-    res = residuals(table)
-    score = res.signed if method == TRUEMATCH else table.counts.astype(float)
     shuffled_assign = solve_assignment(score[np.ix_(row_shuffle, col_shuffle)], "maximize") - 1
     # Shuffled row i is original row row_shuffle[i]; likewise for columns.
     row_to_col = np.empty(k, dtype=np.int64)
     row_to_col[row_shuffle] = col_shuffle[shuffled_assign]
+    perm = inverse_permutation(row_to_col + 1)  # column label c -> its matched row
+    draws = rng.uniform(size=k)
     trace = {"row_shuffle": row_shuffle.tolist(), "col_shuffle": col_shuffle.tolist()}
-    return _finish(table, row_to_col, method, rng, trace, res)
+    trace["pair_draws"] = draws.tolist()
+    # pairs are reported by the score the assignment maximized, ties by draw
+    rows = np.arange(k)
+    pair_order = np.lexsort((draws, -score[rows, row_to_col]))
+    signed = res.signed[rows, row_to_col]
+    return MatchResult(method, perm, res, trace, table, row_to_col, draws, pair_order, signed)
 
 
 def match_tracemax(table: MatchingTable, rng: np.random.Generator) -> MatchResult:
@@ -175,14 +165,15 @@ def match_tracemax(table: MatchingTable, rng: np.random.Generator) -> MatchResul
     random shuffle, so fully symmetric tables match each orientation
     with equal probability.
     """
-    return _match_by_assignment(table, rng, TRACEMAX)
+    return _match_by_assignment(TRACEMAX, table, residuals(table), table.counts.astype(float), rng)
 
 
 def match_truematch(table: MatchingTable, rng: np.random.Generator) -> MatchResult:
     """Residual matching: shuffle, transform counts to signed residuals,
     maximize the residual trace exactly, order pairs by residual with
     random tie-break."""
-    return _match_by_assignment(table, rng, TRUEMATCH)
+    res = residuals(table)
+    return _match_by_assignment(TRUEMATCH, table, res, res.signed, rng)
 
 
 def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) -> MatchResult:
@@ -230,18 +221,12 @@ def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) ->
     row_to_col[live_rows[0]] = live_cols[0]
     pair_order[k - 1] = live_rows[0]
 
+    perm = inverse_permutation(row_to_col + 1)
     # residuals covered every subtable from k x k down to 2 x 2
     trace = {"tie_draws": tie_draws, "residual_cells": k * (k + 1) * (2 * k + 1) // 6 - 1}
-    return _finish(
-        table,
-        row_to_col,
-        TRUEMATCH_HEURISTIC,
-        rng,
-        trace,
-        full,
-        pair_order=pair_order,
-        pair_signed=sel_signed,
-    )
+    draws = rng.uniform(size=k)
+    trace["pair_draws"] = draws.tolist()
+    return MatchResult(TRUEMATCH_HEURISTIC, perm, full, trace, table, row_to_col, draws, pair_order, sel_signed)
 
 
 MATCHERS: dict[str, Callable[[MatchingTable, np.random.Generator], MatchResult]] = {

@@ -153,6 +153,8 @@ def mmcc_run(
         raise ValueError(f"rounds must be >= 2, got {rounds}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if early_stop_window is not None and early_stop_window < 1:
+        raise ValueError(f"early_stop_window must be >= 1, got {early_stop_window}")
     n = len(data)
     if n < k:
         raise ValueError(f"need at least k={k} cases, got {n}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .agreement import adjusted_rand, cohen_kappa, diagonal_fraction, rand_index
-from .crosstab import crosstab
+from .crosstab import MatchingTable, crosstab
 from .labels import LabelVector, _label_array
 from .matching import resolve_matcher
 from .mmcc import REDRAW_BUDGET, CicStats, ProbMatrix, VoteMatrix, cic_stats, majority_labels
@@ -262,28 +262,25 @@ def outlier_scenario(
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
+    if n_cases < 2:
+        raise ValueError(f"n_cases must be >= 2, got {n_cases}")
     match_fn = resolve_matcher(matcher)
     method = matcher if isinstance(matcher, str) else getattr(matcher, "__name__", "custom")
 
     table_acc = np.zeros((2, 2), dtype=float)
     diag_acc = kappa_acc = rand_acc = crand_acc = 0.0
     coincide = 0
-    base = np.ones(n_cases, dtype=np.int64)
     for _ in range(runs):
-        first_pick = int(rng.integers(n_cases))
-        second_pick = int(rng.integers(n_cases))
-        a = base.copy()
-        a[first_pick] = 2
-        b = base.copy()
-        b[second_pick] = 2
-        table = crosstab(a, b, k=2)
+        # crosstab of two labelings that each give label 2 to one picked case
+        same = int(rng.integers(n_cases) == rng.integers(n_cases))
+        table = MatchingTable([[n_cases - 2 + same, 1 - same], [1 - same, same]])
         matched = match_fn(table, rng).matched_table
         table_acc += matched.counts
         diag_acc += diagonal_fraction(matched)
         kappa_acc += cohen_kappa(matched)
         rand_acc += rand_index(matched)
         crand_acc += adjusted_rand(matched)
-        coincide += first_pick == second_pick
+        coincide += same
 
     return OutlierScenarioResult(
         matcher=method,
@@ -312,6 +309,8 @@ class FictitiousClusterer:
         probs = np.atleast_2d(np.asarray(class_probs, dtype=float))
         if probs.shape[1] != k:
             raise ValueError(f"class_probs must have {k} columns, got {probs.shape[1]}")
+        if not np.isfinite(probs).all():
+            raise ValueError("class_probs must be finite")
         if (probs < 0).any() or np.abs(probs.sum(axis=1) - 1.0).max() > 1e-9:
             raise ValueError("each class_probs row must be a probability vector")
         self.k = k

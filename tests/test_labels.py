@@ -6,6 +6,8 @@ from truematch import (
     LabelVector,
     apply_permutation,
     canonical_pair,
+    crosstab,
+    fictitious_cluster,
     mapping_csv,
     parse_labels,
     serialize_labels,
@@ -156,3 +158,24 @@ class TestLabelVector:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             LabelVector(np.array([], dtype=np.int64), 1)
+
+
+NON_INTEGRAL_LABEL_CALLS = {
+    "crosstab": lambda labels: crosstab(labels, [1, 2], 2),
+    "LabelVector": lambda labels: LabelVector(labels, 2),
+    "fictitious_cluster": lambda labels: fictitious_cluster(labels, 1.0, np.random.default_rng(0)),
+    "canonical_pair": lambda labels: canonical_pair(labels, [1, 2]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NON_INTEGRAL_LABEL_CALLS))
+@pytest.mark.parametrize("labels", [[1.5, 2.0], [1.9, 2.2], [1.0, np.nan]], ids=["1.5", "1.9", "nan"])
+def test_non_integral_labels_rejected(call, labels):
+    # truncation would read 1.5 as label 1 and 1.9 as label 1
+    with pytest.raises(ValueError, match="whole numbers"):
+        NON_INTEGRAL_LABEL_CALLS[call](labels)
+
+
+@pytest.mark.parametrize("call", sorted(NON_INTEGRAL_LABEL_CALLS))
+def test_whole_float_labels_accepted(call):
+    NON_INTEGRAL_LABEL_CALLS[call]([1.0, 2.0])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from truematch import (
+    MatchedPair,
     MatchingTable,
     aligned_table,
     apply_permutation,
@@ -25,6 +26,48 @@ ORIENT_B = ((1, 0), (98, 1))
 
 def table_key(result):
     return tuple(map(tuple, result.matched_table.counts))
+
+
+def reference_presentation(table, perm, draws, method, pair_order=None, pair_signed=None):
+    """Oracle for the presentation attributes of a match: the pairs,
+    matched table and row/column orders built eagerly in one function
+    from the assignment ``perm`` and the per-row pair draws.  The
+    heuristic passes its own selection order and residuals."""
+    k = table.k
+    rows = np.arange(k)
+    cols = np.argsort(perm)  # perm[c] is the row of column c, so row r holds column cols[r]
+    s_vals = residuals(table).signed[rows, cols]
+    n_vals = table.counts[rows, cols]
+    present = np.lexsort((draws, -s_vals, -n_vals))
+    row_order = rows[present]
+    col_order = cols[present]
+    matched = table.counts[np.ix_(row_order, col_order)]
+    if pair_order is None:
+        if method == "tracemax":
+            pair_order = np.lexsort((draws, -n_vals))
+        else:
+            pair_order = np.lexsort((draws, -s_vals))
+    reported_s = s_vals if pair_signed is None else pair_signed
+    pairs = tuple(
+        MatchedPair(int(rows[i]) + 1, int(cols[i]) + 1, float(reported_s[i]), int(n_vals[i]))
+        for i in pair_order
+    )
+    return pairs, matched, row_order + 1, col_order + 1
+
+
+def presentation_tables():
+    """Random tables with K from 1 to 6, many of them tie-heavy."""
+    rng = np.random.default_rng(2024)
+    tables = []
+    for k in range(1, 7):
+        tables.append(np.full((k, k), 4))  # all-equal counts
+        tables.append(3 * np.eye(k, dtype=np.int64))
+        tables += [rng.integers(0, 2, (k, k)) for _ in range(8)]  # {0, 1} counts
+        tables += [rng.integers(0, 30, (k, k)) for _ in range(8)]
+        padded = rng.integers(0, 9, (k, k))
+        padded[:, -1] = 0  # an unused column label, as canonical_pair pads
+        tables.append(padded)
+    return [MatchingTable(t) for t in tables if t.sum() > 0]
 
 
 class TestTracemax:
@@ -141,6 +184,41 @@ class TestResultShape:
             # relabeling perm maps each matched column to its row
             for i in range(k):
                 assert res.perm[res.col_order[i] - 1] == res.row_order[i]
+
+    @pytest.mark.parametrize("matcher", ["tracemax", "truematch", "truematch-heuristic"])
+    def test_presentation_matches_reference(self, matcher):
+        fn = resolve_matcher(matcher)
+        heuristic = matcher == "truematch-heuristic"
+        for i, table in enumerate(presentation_tables()):
+            for seed in range(3):
+                res = fn(table, np.random.default_rng([i, seed]))
+                draws = np.asarray(res.seed_trace["pair_draws"])
+                assert draws.size == table.k
+                pairs, matched, row_order, col_order = reference_presentation(
+                    table, res.perm, draws, matcher,
+                    res.pair_order if heuristic else None, res.pair_signed if heuristic else None,
+                )
+                assert res.pairs == pairs
+                assert isinstance(res.matched_table, MatchingTable)
+                assert np.array_equal(res.matched_table.counts, matched)
+                assert res.row_order.tolist() == row_order.tolist()
+                assert res.col_order.tolist() == col_order.tolist()
+                assert res.row_order.dtype == res.col_order.dtype == np.int64
+
+    @pytest.mark.parametrize("matcher", ["tracemax", "truematch", "truematch-heuristic"])
+    def test_reading_presentation_leaves_generator_alone(self, matcher):
+        fn = resolve_matcher(matcher)
+        for i, table in enumerate(presentation_tables()):
+            read_rng = np.random.default_rng(i)
+            unread_rng = np.random.default_rng(i)
+            read = fn(table, read_rng)
+            assert len(read.pairs) == read.matched_table.k == read.row_order.size == read.col_order.size
+            with pytest.raises(AttributeError):
+                read.pairs = ()
+            unread = fn(table, unread_rng)
+            assert read_rng.bit_generator.state == unread_rng.bit_generator.state
+            assert read.perm.tolist() == unread.perm.tolist()
+            assert read.seed_trace == unread.seed_trace
 
     @pytest.mark.parametrize("matcher", ["tracemax", "truematch", "truematch-heuristic"])
     def test_carries_full_table_residuals(self, matcher):

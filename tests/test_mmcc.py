@@ -125,10 +125,15 @@ class TestMmccRun:
         assert np.all(votes.votes.sum(axis=1) == 25)
         np.testing.assert_allclose(probs.probs.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_rejects_small_rounds(self):
+    @pytest.mark.parametrize(
+        "rounds, window",
+        [(1, None), (5, 0), (5, -1)],
+        ids=["rounds-1", "window-0", "window-minus-1"],
+    )
+    def test_rejects_invalid_settings(self, rounds, window):
         with pytest.raises(ValueError):
-            mmcc_run(np.zeros(10), 2, random_clusterer([0.5, 0.5]), "truematch", 1,
-                     np.random.default_rng(0))
+            mmcc_run(np.zeros(10), 2, random_clusterer([0.5, 0.5]), "truematch", rounds,
+                     np.random.default_rng(0), early_stop_window=window)
 
     def test_rejects_bad_labels(self):
         class Broken:
@@ -324,6 +329,8 @@ class TestFictitiousClusterer:
     def test_probability_rows_validated(self):
         with pytest.raises(ValueError):
             FictitiousClusterer(2, [[0.7, 0.7]])
+        with pytest.raises(ValueError, match="finite"):
+            FictitiousClusterer(2, [[np.nan, np.nan]])
 
     def test_proportions_respected(self):
         clusterer = random_clusterer([0.8, 0.2], shuffle_labels=False)

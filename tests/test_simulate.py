@@ -185,3 +185,7 @@ class TestOutlierScenario:
     def test_runs_validated(self):
         with pytest.raises(ValueError):
             outlier_scenario(0, "truematch", np.random.default_rng(0))
+
+    def test_n_cases_validated(self):
+        with pytest.raises(ValueError, match="n_cases must be >= 2"):
+            outlier_scenario(3, "truematch", np.random.default_rng(0), n_cases=1)
