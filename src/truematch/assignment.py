@@ -20,6 +20,8 @@ import sys
 
 import numpy as np
 
+from .labels import _perm_array
+
 __all__ = [
     "solve_assignment",
     "brute_force_assignment",
@@ -102,7 +104,7 @@ def brute_force_assignment(score, sense: str = "minimize") -> np.ndarray:
 def assignment_value(score, perm) -> float:
     """Objective sum(score[k, perm[k]]) for a 1-based permutation."""
     score = np.asarray(score, dtype=float)
-    perm = np.asarray(perm, dtype=np.int64)
+    perm = _perm_array(perm)
     return float(score[np.arange(score.shape[0]), perm - 1].sum())
 
 
@@ -111,13 +113,13 @@ def identity_permutation(k: int) -> np.ndarray:
 
 
 def inverse_permutation(perm) -> np.ndarray:
-    """Inverse of a 1-based permutation array."""
-    perm = np.asarray(perm, dtype=np.int64)
-    inv = np.empty_like(perm)
-    inv[perm - 1] = np.arange(1, perm.size + 1, dtype=np.int64)
-    return inv
+    """Inverse of a 1-based permutation; ``ValueError`` unless it holds each of 1..K once."""
+    return np.argsort(_perm_array(perm)) + 1
 
 
 def is_permutation(perm) -> bool:
-    perm = np.asarray(perm)
-    return perm.ndim == 1 and np.array_equal(np.sort(perm), np.arange(1, perm.size + 1))
+    try:
+        _perm_array(perm)
+    except ValueError:
+        return False
+    return True

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .labels import _label_array
+from .labels import _label_array, _whole
 
 __all__ = ["MatchingTable", "ResidualMatrix", "crosstab", "residuals"]
 
@@ -29,15 +29,9 @@ class MatchingTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
-        if counts.ndim != 2 or counts.shape[0] != counts.shape[1] or counts.shape[0] == 0:
+        counts = _whole(self.counts, "counts", 2)
+        if counts.shape[0] != counts.shape[1] or counts.size == 0:
             raise ValueError(f"counts must be square and non-empty, got shape {counts.shape}")
-        if not np.issubdtype(counts.dtype, np.integer):
-            rounded = np.rint(counts)
-            if not np.array_equal(rounded, counts):
-                raise ValueError("counts must be integral")
-            counts = rounded
-        counts = counts.astype(np.int64)
         if (counts < 0).any():
             raise ValueError("counts must be non-negative")
         object.__setattr__(self, "counts", counts)
@@ -94,18 +88,12 @@ def crosstab(a, b, k: int | None = None) -> MatchingTable:
         Size of the label space.  Defaults to the larger of the two
         inputs' label spaces; rows/columns for unused labels stay zero.
     """
-    la, lb = _label_array(a), _label_array(b)
-    if la.ndim != 1 or la.shape != lb.shape:
-        raise ValueError(f"labelings must be 1-D and equal length, got {la.shape} vs {lb.shape}")
-    if la.size == 0:
-        raise ValueError("labelings must be non-empty")
     if k is None:
-        k = max(
-            getattr(a, "n_clusters", int(la.max())),
-            getattr(b, "n_clusters", int(lb.max())),
-        )
-    if min(la.min(), lb.min()) < 1 or max(la.max(), lb.max()) > k:
-        raise ValueError(f"labels outside 1..{k}")
+        k = max(getattr(v, "n_clusters", _label_array(v).max()) for v in (a, b))
+    k = _whole(k, "k", 0)
+    la, lb = _label_array(a, k), _label_array(b, k)
+    if la.size != lb.size:
+        raise ValueError(f"labelings must be equal length, got {la.size} vs {lb.size}")
     counts = np.bincount((la - 1) * k + (lb - 1), minlength=k * k).reshape(k, k)
     return MatchingTable(counts)
 

@@ -46,29 +46,42 @@ class LabelVector:
     n_clusters: int
 
     def __post_init__(self):
-        labels = _label_array(self.labels)
-        if labels.ndim != 1 or labels.size == 0:
-            raise ValueError("labels must be a non-empty 1-D sequence")
-        if self.n_clusters < 1:
-            raise ValueError(f"n_clusters must be >= 1, got {self.n_clusters}")
-        if labels.min() < 1 or labels.max() > self.n_clusters:
-            raise ValueError(
-                f"labels must lie in 1..{self.n_clusters}, "
-                f"got range [{labels.min()}, {labels.max()}]"
-            )
-        object.__setattr__(self, "labels", labels)
+        n_clusters = _whole(self.n_clusters, "n_clusters", 0)
+        object.__setattr__(self, "labels", _label_array(self.labels, n_clusters))
+        object.__setattr__(self, "n_clusters", n_clusters)
 
     def __len__(self) -> int:
         return int(self.labels.size)
 
 
-def _label_array(v) -> np.ndarray:
-    """Labels of a LabelVector or sequence as int64; float labels must be
-    whole numbers, so 1.5 is rejected instead of truncated to 1."""
-    labels = np.asarray(getattr(v, "labels", v))
-    if labels.dtype.kind == "f" and not np.array_equal(labels, np.rint(labels)):
-        raise ValueError("labels must be whole numbers")
-    return np.asarray(labels, dtype=np.int64)
+def _whole(value, name: str, ndim: int):
+    """``value`` as int64 (an int when ``ndim`` is 0).  Floats must be whole
+    numbers within int64: 1.5, NaN and inf are rejected, not truncated."""
+    arr = np.asarray(value)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must have {ndim} dimensions, got shape {arr.shape}")
+    if arr.dtype.kind == "f" and not ((arr == np.rint(arr)) & (np.abs(arr) < 2.0**63)).all():
+        raise ValueError(f"{name} must be {'a whole number' if ndim == 0 else 'whole numbers'}")
+    # a 0-d value converts directly, so seeds above the int64 range stay exact
+    return int(arr) if ndim == 0 else arr.astype(np.int64, copy=False)
+
+
+def _label_array(v, k: int | None = None, name: str = "labels") -> np.ndarray:
+    """Labels of ``v`` as a non-empty 1-D int64 array, in 1..k if ``k`` is given."""
+    labels = _whole(getattr(v, "labels", v), name, 1)
+    if labels.size == 0:
+        raise ValueError(f"{name} must be non-empty")
+    if k is not None and (labels.min() < 1 or labels.max() > k):
+        raise ValueError(f"{name} must lie in 1..{k}, got range [{labels.min()}, {labels.max()}]")
+    return labels
+
+
+def _perm_array(perm) -> np.ndarray:
+    """``perm`` as int64 if it holds each of 1..K once, K its length."""
+    perm = _label_array(perm, name="perm")
+    if not np.array_equal(np.sort(perm), np.arange(1, perm.size + 1)):
+        raise ValueError(f"perm is not a bijection on 1..{perm.size}: {perm.tolist()}")
+    return perm
 
 
 def parse_labels(source) -> tuple[LabelVector, dict[str, int]]:
@@ -128,12 +141,8 @@ def canonical_pair(a, b) -> tuple[LabelVector, LabelVector, int]:
     never uses the top labels, which zero-pads tables built downstream.
     """
     la, lb = _label_array(a), _label_array(b)
-    if la.ndim != 1 or lb.ndim != 1:
-        raise ValueError("label vectors must be 1-D")
     if la.size != lb.size:
         raise ValueError(f"length mismatch: {la.size} vs {lb.size}")
-    if la.size == 0:
-        raise ValueError("label vectors must be non-empty")
     ca, ka = _compact(la)
     cb, kb = _compact(lb)
     k = max(ka, kb)
@@ -143,16 +152,10 @@ def canonical_pair(a, b) -> tuple[LabelVector, LabelVector, int]:
 def apply_permutation(vector, perm) -> LabelVector:
     """Relabel ``vector`` through ``perm``: label x becomes perm[x-1].
 
-    ``perm`` must be a bijection on 1..K covering every label in the
-    vector; applying the inverse permutation afterwards restores it.
+    ``perm`` must hold each of 1..K once, as whole numbers, and every label
+    must lie in 1..K; anything else raises ``ValueError``.  Applying the
+    inverse permutation afterwards restores the vector.
     """
-    perm = np.asarray(perm, dtype=np.int64)
-    k = perm.size
-    if not np.array_equal(np.sort(perm), np.arange(1, k + 1)):
-        raise ValueError(f"perm is not a bijection on 1..{k}: {perm.tolist()}")
-    labels = _label_array(vector)
-    if labels.size == 0:
-        raise ValueError("label vector must be non-empty")
-    if labels.min() < 1 or labels.max() > k:
-        raise ValueError(f"labels outside 1..{k} cannot be permuted")
-    return LabelVector(perm[labels - 1], k)
+    perm = _perm_array(perm)
+    labels = _label_array(vector, perm.size)
+    return LabelVector(perm[labels - 1], perm.size)

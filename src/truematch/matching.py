@@ -147,7 +147,7 @@ def _match_by_assignment(
     # Shuffled row i is original row row_shuffle[i]; likewise for columns.
     row_to_col = np.empty(k, dtype=np.int64)
     row_to_col[row_shuffle] = col_shuffle[shuffled_assign]
-    perm = inverse_permutation(row_to_col + 1)  # column label c -> its matched row
+    perm = np.argsort(row_to_col) + 1  # inverse of the bijection: column label c -> its row
     draws = rng.uniform(size=k)
     trace = {"row_shuffle": row_shuffle.tolist(), "col_shuffle": col_shuffle.tolist()}
     trace["pair_draws"] = draws.tolist()
@@ -221,7 +221,7 @@ def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) ->
     row_to_col[live_rows[0]] = live_cols[0]
     pair_order[k - 1] = live_rows[0]
 
-    perm = inverse_permutation(row_to_col + 1)
+    perm = np.argsort(row_to_col) + 1
     # residuals covered every subtable from k x k down to 2 x 2
     trace = {"tie_draws": tie_draws, "residual_cells": k * (k + 1) * (2 * k + 1) // 6 - 1}
     draws = rng.uniform(size=k)
@@ -250,7 +250,10 @@ def aligned_table(table: MatchingTable, perm) -> MatchingTable:
     """Table with only the columns relabeled through ``perm``.
 
     This is the crosstab of the first labeling against the perm-renamed
-    second labeling; rows keep their original identity.
+    second labeling; rows keep their original identity.  ``perm`` must hold
+    each of 1..table.k once, as ``MatchResult.perm`` does, else ``ValueError``.
     """
     colmap = inverse_permutation(perm) - 1
+    if colmap.size != table.k:
+        raise ValueError(f"perm must have {table.k} entries, got {colmap.size}")
     return MatchingTable(table.counts[:, colmap])

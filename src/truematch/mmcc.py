@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crosstab import crosstab
-from .labels import LabelVector, _label_array
+from .labels import LabelVector, _label_array, _whole
 from .matching import resolve_matcher
 
 __all__ = [
@@ -59,8 +59,8 @@ class VoteMatrix:
     rounds: int
 
     def __post_init__(self):
-        votes = np.asarray(self.votes, dtype=np.int64)
-        if votes.ndim != 2 or votes.size == 0:
+        votes = _whole(self.votes, "votes", 2)
+        if votes.size == 0:
             raise ValueError(f"votes must be a non-empty 2-D matrix, got shape {votes.shape}")
         if (votes < 0).any():
             raise ValueError("votes must be non-negative")
@@ -77,8 +77,8 @@ class ProbMatrix:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 2 or probs.size == 0:
             raise ValueError(f"probs must be a non-empty 2-D matrix, got shape {probs.shape}")
-        if (probs < 0).any() or (probs > 1).any():
-            raise ValueError("probabilities must lie in [0, 1]")
+        if not ((probs >= 0) & (probs <= 1)).all():
+            raise ValueError("probabilities must be finite and lie in [0, 1]")
         if np.abs(probs.sum(axis=1) - 1.0).max() > 1e-9:
             raise ValueError("every probability row must sum to 1")
         object.__setattr__(self, "probs", probs)
@@ -112,8 +112,8 @@ def majority_labels(votes, rng: np.random.Generator) -> LabelVector:
 
     Every row must hold at least one vote.
     """
-    v = votes.votes if isinstance(votes, VoteMatrix) else np.asarray(votes, dtype=np.int64)
-    if v.ndim != 2 or v.size == 0:
+    v = _whole(getattr(votes, "votes", votes), "votes", 2)
+    if v.size == 0:
         raise ValueError("votes must be a non-empty 2-D matrix")
     # numpy reduces along a short last axis one row at a time, so reduce
     # down the rows of the K x N transpose instead
@@ -173,9 +173,9 @@ def mmcc_run(
             break
         else:
             raise ValueError(f"no resample in {REDRAW_BUDGET} draws could be fitted with k={k}")
-        predicted = _label_array(base.predict(model, data))
-        if predicted.shape != (n,) or predicted.min() < 1 or predicted.max() > k:
-            raise ValueError("base clusterer must predict labels in 1..k for every case")
+        predicted = _label_array(base.predict(model, data), k, "predicted labels")
+        if predicted.size != n:
+            raise ValueError(f"base clusterer must predict a label for each of {n} cases")
         if round_idx == 0:
             aligned = predicted
         else:
@@ -240,7 +240,7 @@ class LloydClusterer:
 
     def fit(self, data, resample_indices, k: int, rng: np.random.Generator) -> np.ndarray:
         pts = self._as_points(data)
-        picks = np.asarray(resample_indices, dtype=np.int64)
+        picks = _whole(resample_indices, "resample_indices", 1)
         in_bag = np.zeros(pts.shape[0], dtype=bool)
         in_bag[picks] = True
         distinct = _distinct_rows(pts[in_bag])

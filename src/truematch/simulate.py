@@ -20,7 +20,7 @@ import numpy as np
 
 from .agreement import adjusted_rand, cohen_kappa, diagonal_fraction, rand_index
 from .crosstab import MatchingTable, crosstab
-from .labels import LabelVector, _label_array
+from .labels import LabelVector, _label_array, _whole
 from .matching import resolve_matcher
 from .mmcc import REDRAW_BUDGET, CicStats, ProbMatrix, VoteMatrix, cic_stats, majority_labels
 
@@ -54,6 +54,8 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_cases", "rounds", "seed"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, 0))
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must lie strictly between 0 and 1, got {self.p}")
         if not 0.0 <= self.kappa <= 1.0:
@@ -115,9 +117,7 @@ def fictitious_cluster(truth, kappa: float, rng: np.random.Generator, p: float |
     full population; it defaults to the rate observed in ``truth`` and
     should be passed explicitly when judging a subset.
     """
-    labels = _label_array(truth)
-    if labels.size == 0 or labels.min() < 1 or labels.max() > 2:
-        raise ValueError("truth must be a non-empty binary vector with labels in {1, 2}")
+    labels = _label_array(truth, 2, "truth")
     if not 0.0 <= kappa <= 1.0:
         raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
     if p is None:
@@ -134,10 +134,8 @@ def enforce_sizes(judged, target, rng: np.random.Generator) -> LabelVector:
     ``target`` is (count of class 1, count of class 2) and must sum to
     the vector length.
     """
-    labels = _label_array(judged).copy()
-    if labels.size == 0 or labels.min() < 1 or labels.max() > 2:
-        raise ValueError("judged must be a non-empty binary vector with labels in {1, 2}")
-    target = tuple(int(t) for t in target)
+    labels = _label_array(judged, 2, "judged").copy()
+    target = tuple(_whole(target, "target", 1).tolist())
     if len(target) != 2 or min(target) < 0 or sum(target) != labels.size:
         raise ValueError(f"target {target} is not a valid two-class split of {labels.size} cases")
     surplus_two = int((labels == 2).sum()) - target[1]
@@ -220,8 +218,8 @@ def simulate_cell(cfg: SimulationConfig) -> CellResult:
 
 def derive_cell_seed(base_seed: int, p_index: int, kappa_index: int) -> int:
     """Deterministic per-cell seed mixing the base seed with grid indices."""
-    ss = np.random.SeedSequence([int(base_seed), int(p_index), int(kappa_index)])
-    return int(ss.generate_state(1, np.uint64)[0])
+    parts = [_whole(v, "seed and grid indices", 0) for v in (base_seed, p_index, kappa_index)]
+    return int(np.random.SeedSequence(parts).generate_state(1, np.uint64)[0])
 
 
 def grid_sweep(p_values, kappa_values, base: SimulationConfig) -> list[CellResult]:
@@ -260,6 +258,8 @@ def outlier_scenario(
     the agreement indices computed on it.  Runs where both picks coincide
     are counted as random matches.
     """
+    runs = _whole(runs, "runs", 0)
+    n_cases = _whole(n_cases, "n_cases", 0)
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if n_cases < 2:
@@ -306,20 +306,14 @@ class FictitiousClusterer:
     """
 
     def __init__(self, k: int, class_probs, true_classes=None, shuffle_labels: bool = True):
-        probs = np.atleast_2d(np.asarray(class_probs, dtype=float))
+        probs = ProbMatrix(np.atleast_2d(class_probs)).probs
         if probs.shape[1] != k:
             raise ValueError(f"class_probs must have {k} columns, got {probs.shape[1]}")
-        if not np.isfinite(probs).all():
-            raise ValueError("class_probs must be finite")
-        if (probs < 0).any() or np.abs(probs.sum(axis=1) - 1.0).max() > 1e-9:
-            raise ValueError("each class_probs row must be a probability vector")
         self.k = k
         self.class_probs = probs
-        self.true_classes = None if true_classes is None else _label_array(true_classes)
-        if self.true_classes is not None and (
-            self.true_classes.min() < 1 or self.true_classes.max() > probs.shape[0]
-        ):
-            raise ValueError("true_classes must index rows of class_probs")
+        if true_classes is not None:
+            true_classes = _label_array(true_classes, len(probs), "true_classes")
+        self.true_classes = true_classes
         self.shuffle_labels = shuffle_labels
 
     def fit(self, data, resample_indices, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -4,10 +4,16 @@ import pytest
 from truematch import (
     LabelParseError,
     LabelVector,
+    MatchingTable,
+    VoteMatrix,
+    aligned_table,
     apply_permutation,
     canonical_pair,
     crosstab,
+    enforce_sizes,
     fictitious_cluster,
+    inverse_permutation,
+    majority_labels,
     mapping_csv,
     parse_labels,
     serialize_labels,
@@ -160,11 +166,28 @@ class TestLabelVector:
             LabelVector(np.array([], dtype=np.int64), 1)
 
 
+@pytest.mark.parametrize(
+    "name, call",
+    [("n_clusters", lambda: LabelVector([1, 2], 2.5)), ("k", lambda: crosstab([1, 2], [1, 2], k=2.5))],
+    ids=["LabelVector-n_clusters", "crosstab-k"],
+)
+def test_fractional_label_space_rejected(name, call):
+    with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        call()
+
+
 NON_INTEGRAL_LABEL_CALLS = {
     "crosstab": lambda labels: crosstab(labels, [1, 2], 2),
     "LabelVector": lambda labels: LabelVector(labels, 2),
     "fictitious_cluster": lambda labels: fictitious_cluster(labels, 1.0, np.random.default_rng(0)),
     "canonical_pair": lambda labels: canonical_pair(labels, [1, 2]),
+    # permutations, votes and size targets are whole numbers too
+    "apply_permutation-perm": lambda perm: apply_permutation([1, 2], perm),
+    "inverse_permutation": inverse_permutation,
+    "aligned_table": lambda perm: aligned_table(MatchingTable([[3, 1], [0, 2]]), perm),
+    "VoteMatrix": lambda votes: VoteMatrix([votes], 2),
+    "majority_labels": lambda votes: majority_labels([votes], np.random.default_rng(0)),
+    "enforce_sizes-target": lambda target: enforce_sizes([1, 2, 2], target, np.random.default_rng(0)),
 }
 
 

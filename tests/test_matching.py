@@ -9,6 +9,7 @@ from truematch import (
     aligned_table,
     apply_permutation,
     crosstab,
+    inverse_permutation,
     match_tracemax,
     match_truematch,
     match_truematch_heuristic,
@@ -243,6 +244,22 @@ class TestResultShape:
         assert np.array_equal(aligned_table(table, res.perm).counts, via_labels.counts)
         # column-aligned trace equals the matched trace (same matched cells)
         assert aligned_table(table, res.perm).counts.trace() == res.matched_table.counts.trace()
+
+
+NON_PERMUTATION_CALLS = {
+    "inverse_permutation-repeat": lambda: inverse_permutation([1, 1]),
+    "inverse_permutation-zero": lambda: inverse_permutation([0, 1]),
+    "aligned_table-repeat": lambda: aligned_table(MatchingTable([[3, 1], [0, 2]]), [1, 1]),
+    "aligned_table-zero": lambda: aligned_table(MatchingTable([[3, 1], [0, 2]]), [0, 1]),
+    "aligned_table-too-long": lambda: aligned_table(MatchingTable([[3, 1], [0, 2]]), [1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(NON_PERMUTATION_CALLS))
+def test_non_permutation_rejected(call):
+    # a repeated or out-of-range entry once came back as a relabeled table
+    with pytest.raises(ValueError):
+        NON_PERMUTATION_CALLS[call]()
 
 
 class TestDistributionalProperties:

@@ -343,3 +343,5 @@ class TestFictitiousClusterer:
             VoteMatrix(np.array([[1, -1]]), 1)
         with pytest.raises(ValueError):
             ProbMatrix(np.array([[0.5, 0.6]]))
+        with pytest.raises(ValueError, match="finite"):
+            ProbMatrix(np.array([[np.nan, np.nan]]))

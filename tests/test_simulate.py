@@ -141,6 +141,9 @@ class TestSimulateCell:
             SimulationConfig(p=0.5, kappa=1.5)
         with pytest.raises(ValueError):
             SimulationConfig(p=0.5, kappa=0.5, rounds=1)
+        for name in ("n_cases", "rounds", "seed"):
+            with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+                SimulationConfig(p=0.5, kappa=0.5, **{name: 10.5})
 
 
 class TestGridSweep:
@@ -185,7 +188,11 @@ class TestOutlierScenario:
     def test_runs_validated(self):
         with pytest.raises(ValueError):
             outlier_scenario(0, "truematch", np.random.default_rng(0))
+        with pytest.raises(ValueError, match="runs must be a whole number"):
+            outlier_scenario(2.5, "truematch", np.random.default_rng(0))
 
     def test_n_cases_validated(self):
         with pytest.raises(ValueError, match="n_cases must be >= 2"):
             outlier_scenario(3, "truematch", np.random.default_rng(0), n_cases=1)
+        with pytest.raises(ValueError, match="n_cases must be a whole number"):
+            outlier_scenario(3, "truematch", np.random.default_rng(0), n_cases=10.5)
