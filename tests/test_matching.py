@@ -257,7 +257,7 @@ NON_PERMUTATION_CALLS = {
 
 @pytest.mark.parametrize("call", sorted(NON_PERMUTATION_CALLS))
 def test_non_permutation_rejected(call):
-    # a repeated or out-of-range entry once came back as a relabeled table
+    # a repeated, zero or surplus entry does not relabel the table's columns
     with pytest.raises(ValueError):
         NON_PERMUTATION_CALLS[call]()
 
