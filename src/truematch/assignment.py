@@ -102,9 +102,12 @@ def brute_force_assignment(score, sense: str = "minimize") -> np.ndarray:
 
 
 def assignment_value(score, perm) -> float:
-    """Objective sum(score[k, perm[k]]) for a 1-based permutation."""
-    score = np.asarray(score, dtype=float)
+    """Objective sum(score[k, perm[k]]) for a 1-based permutation of 1..K,
+    K the size of the finite square ``score``; anything else raises ``ValueError``."""
+    score = _as_square_matrix(score)
     perm = _perm_array(perm)
+    if perm.size != score.shape[0]:
+        raise ValueError(f"perm must have {score.shape[0]} entries, got {perm.size}")
     return float(score[np.arange(score.shape[0]), perm - 1].sum())
 
 

@@ -29,11 +29,9 @@ class MatchingTable:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = _whole(self.counts, "counts", 2)
+        counts = _whole(self.counts, "counts", 2, 0)
         if counts.shape[0] != counts.shape[1] or counts.size == 0:
             raise ValueError(f"counts must be square and non-empty, got shape {counts.shape}")
-        if (counts < 0).any():
-            raise ValueError("counts must be non-negative")
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -90,7 +88,7 @@ def crosstab(a, b, k: int | None = None) -> MatchingTable:
     """
     if k is None:
         k = max(getattr(v, "n_clusters", _label_array(v).max()) for v in (a, b))
-    k = _whole(k, "k", 0)
+    k = _whole(k, "k", 0, 1)
     la, lb = _label_array(a, k), _label_array(b, k)
     if la.size != lb.size:
         raise ValueError(f"labelings must be equal length, got {la.size} vs {lb.size}")

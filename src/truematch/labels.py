@@ -54,16 +54,20 @@ class LabelVector:
         return int(self.labels.size)
 
 
-def _whole(value, name: str, ndim: int):
-    """``value`` as int64 (an int when ``ndim`` is 0).  Floats must be whole
-    numbers within int64: 1.5, NaN and inf are rejected, not truncated."""
+def _whole(value, name: str, ndim: int, low: int | None = None):
+    """``value`` as int64 (an int when ``ndim`` is 0), each entry at least
+    ``low`` if given.  Floats must be whole numbers within int64: 1.5, NaN
+    and inf are rejected, not truncated."""
     arr = np.asarray(value)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must have {ndim} dimensions, got shape {arr.shape}")
     if arr.dtype.kind == "f" and not ((arr == np.rint(arr)) & (np.abs(arr) < 2.0**63)).all():
         raise ValueError(f"{name} must be {'a whole number' if ndim == 0 else 'whole numbers'}")
     # a 0-d value converts directly, so seeds above the int64 range stay exact
-    return int(arr) if ndim == 0 else arr.astype(np.int64, copy=False)
+    out = int(arr) if ndim == 0 else arr.astype(np.int64, copy=False)
+    if low is not None and (np.asarray(out) < low).any():
+        raise ValueError(f"{name} must be >= {low}, got {np.min(out)}")
+    return out
 
 
 def _label_array(v, k: int | None = None, name: str = "labels") -> np.ndarray:

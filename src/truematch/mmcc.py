@@ -59,12 +59,11 @@ class VoteMatrix:
     rounds: int
 
     def __post_init__(self):
-        votes = _whole(self.votes, "votes", 2)
+        votes = _whole(self.votes, "votes", 2, 0)
         if votes.size == 0:
             raise ValueError(f"votes must be a non-empty 2-D matrix, got shape {votes.shape}")
-        if (votes < 0).any():
-            raise ValueError("votes must be non-negative")
         object.__setattr__(self, "votes", votes)
+        object.__setattr__(self, "rounds", _whole(self.rounds, "rounds", 0, 0))
 
 
 @dataclass(frozen=True)
@@ -112,7 +111,7 @@ def majority_labels(votes, rng: np.random.Generator) -> LabelVector:
 
     Every row must hold at least one vote.
     """
-    v = _whole(getattr(votes, "votes", votes), "votes", 2)
+    v = _whole(getattr(votes, "votes", votes), "votes", 2, 0)
     if v.size == 0:
         raise ValueError("votes must be a non-empty 2-D matrix")
     # numpy reduces along a short last axis one row at a time, so reduce
@@ -145,16 +144,16 @@ def mmcc_run(
     prediction to them via ``matcher`` on their crosstab, and votes the
     aligned labels.  Stops after ``rounds`` rounds, or earlier when
     ``early_stop_window`` is set and the membership matrix moved less
-    than ``early_stop_tol`` in max norm over that many rounds.
+    than ``early_stop_tol`` in max norm over that many rounds.  ``k``,
+    ``rounds`` and ``early_stop_window`` must be whole numbers of at least
+    1, 2 and 1; anything else raises ``ValueError``.
 
     Returns the vote matrix and its row-normalized probability matrix.
     """
-    if rounds < 2:
-        raise ValueError(f"rounds must be >= 2, got {rounds}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if early_stop_window is not None and early_stop_window < 1:
-        raise ValueError(f"early_stop_window must be >= 1, got {early_stop_window}")
+    rounds = _whole(rounds, "rounds", 0, 2)
+    k = _whole(k, "k", 0, 1)
+    if early_stop_window is not None:
+        early_stop_window = _whole(early_stop_window, "early_stop_window", 0, 1)
     n = len(data)
     if n < k:
         raise ValueError(f"need at least k={k} cases, got {n}")
@@ -223,9 +222,7 @@ class LloydClusterer:
     """
 
     def __init__(self, iterations: int = 25):
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        self.iterations = iterations
+        self.iterations = _whole(iterations, "iterations", 0, 1)
 
     @staticmethod
     def _as_points(data) -> np.ndarray:
@@ -240,7 +237,9 @@ class LloydClusterer:
 
     def fit(self, data, resample_indices, k: int, rng: np.random.Generator) -> np.ndarray:
         pts = self._as_points(data)
-        picks = _whole(resample_indices, "resample_indices", 1)
+        picks = _whole(resample_indices, "resample_indices", 1, 0)
+        if (picks >= pts.shape[0]).any():
+            raise ValueError(f"resample_indices must be < {pts.shape[0]}, got {picks.max()}")
         in_bag = np.zeros(pts.shape[0], dtype=bool)
         in_bag[picks] = True
         distinct = _distinct_rows(pts[in_bag])

@@ -54,18 +54,12 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_cases", "rounds", "seed"):
-            object.__setattr__(self, name, _whole(getattr(self, name), name, 0))
+        for name, low in (("n_cases", 2), ("rounds", 2), ("seed", 0)):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, 0, low))
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must lie strictly between 0 and 1, got {self.p}")
         if not 0.0 <= self.kappa <= 1.0:
             raise ValueError(f"kappa must lie in [0, 1], got {self.kappa}")
-        if self.rounds < 2:
-            raise ValueError(f"rounds must be >= 2, got {self.rounds}")
-        if self.n_cases < 2:
-            raise ValueError(f"n_cases must be >= 2, got {self.n_cases}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -99,6 +93,7 @@ class OutlierScenarioResult:
 
 def build_truth(n_cases: int, p: float) -> np.ndarray:
     """True two-class vector: round(p * n) cases of class 2, rest class 1."""
+    n_cases = _whole(n_cases, "n_cases", 0, 2)
     heavy = int(round(p * n_cases))
     if not 1 <= heavy <= n_cases - 1:
         raise ValueError(f"p={p} leaves no room for two classes among {n_cases} cases")
@@ -135,8 +130,8 @@ def enforce_sizes(judged, target, rng: np.random.Generator) -> LabelVector:
     the vector length.
     """
     labels = _label_array(judged, 2, "judged").copy()
-    target = tuple(_whole(target, "target", 1).tolist())
-    if len(target) != 2 or min(target) < 0 or sum(target) != labels.size:
+    target = tuple(_whole(target, "target", 1, 0).tolist())
+    if len(target) != 2 or sum(target) != labels.size:
         raise ValueError(f"target {target} is not a valid two-class split of {labels.size} cases")
     surplus_two = int((labels == 2).sum()) - target[1]
     if surplus_two > 0:
@@ -218,7 +213,7 @@ def simulate_cell(cfg: SimulationConfig) -> CellResult:
 
 def derive_cell_seed(base_seed: int, p_index: int, kappa_index: int) -> int:
     """Deterministic per-cell seed mixing the base seed with grid indices."""
-    parts = [_whole(v, "seed and grid indices", 0) for v in (base_seed, p_index, kappa_index)]
+    parts = [_whole(v, "seed and grid indices", 0, 0) for v in (base_seed, p_index, kappa_index)]
     return int(np.random.SeedSequence(parts).generate_state(1, np.uint64)[0])
 
 
@@ -258,12 +253,8 @@ def outlier_scenario(
     the agreement indices computed on it.  Runs where both picks coincide
     are counted as random matches.
     """
-    runs = _whole(runs, "runs", 0)
-    n_cases = _whole(n_cases, "n_cases", 0)
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    if n_cases < 2:
-        raise ValueError(f"n_cases must be >= 2, got {n_cases}")
+    runs = _whole(runs, "runs", 0, 1)
+    n_cases = _whole(n_cases, "n_cases", 0, 2)
     match_fn = resolve_matcher(matcher)
     method = matcher if isinstance(matcher, str) else getattr(matcher, "__name__", "custom")
 
@@ -302,14 +293,14 @@ class FictitiousClusterer:
     ``shuffle_labels`` the cluster names are randomly permuted per fit,
     mimicking the arbitrary label order a real cluster algorithm returns.
     Useful as a controlled stand-in when studying the aggregation loop
-    itself.
+    itself.  ``k``, the number of clusters it fits, is the number of
+    ``class_probs`` columns; one row serves every case when ``true_classes``
+    is not given.
     """
 
-    def __init__(self, k: int, class_probs, true_classes=None, shuffle_labels: bool = True):
+    def __init__(self, class_probs, true_classes=None, shuffle_labels: bool = True):
         probs = ProbMatrix(np.atleast_2d(class_probs)).probs
-        if probs.shape[1] != k:
-            raise ValueError(f"class_probs must have {k} columns, got {probs.shape[1]}")
-        self.k = k
+        self.k = probs.shape[1]
         self.class_probs = probs
         if true_classes is not None:
             true_classes = _label_array(true_classes, len(probs), "true_classes")
@@ -341,13 +332,9 @@ class FictitiousClusterer:
 def random_clusterer(proportions, shuffle_labels: bool = True) -> FictitiousClusterer:
     """Clusterer that ignores the data: every case draws its cluster
     independently from ``proportions``."""
-    proportions = np.asarray(proportions, dtype=float)
-    return FictitiousClusterer(proportions.size, proportions[None, :], shuffle_labels=shuffle_labels)
+    return FictitiousClusterer([proportions], shuffle_labels=shuffle_labels)
 
 
 def true_class_clusterer(true_classes, class_probs, shuffle_labels: bool = True) -> FictitiousClusterer:
     """Clusterer whose per-case behavior depends on a known true class."""
-    probs = np.atleast_2d(np.asarray(class_probs, dtype=float))
-    return FictitiousClusterer(
-        probs.shape[1], probs, true_classes=true_classes, shuffle_labels=shuffle_labels
-    )
+    return FictitiousClusterer(class_probs, true_classes=true_classes, shuffle_labels=shuffle_labels)

@@ -71,6 +71,10 @@ class TestSolveAssignment:
             solve_assignment([[np.inf, 1], [1, 2]])
         with pytest.raises(ValueError):
             solve_assignment([[1, 2], [3, 4]], sense="upward")
+        with pytest.raises(ValueError, match="perm must have 2 entries, got 3"):
+            assignment_value(np.eye(2), [1, 2, 3])
+        with pytest.raises(ValueError, match="square"):
+            assignment_value([[1, 2, 3]], [1])
 
     def test_max_equals_min_of_negated(self):
         rng = np.random.default_rng(15)

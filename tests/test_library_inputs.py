@@ -5,7 +5,9 @@ probabilities is fed small arrays that mix ints, whole and fractional
 floats, NaN and infinities, in 0-d, 1-D, 2-D and empty shapes.  None may
 fail any other way, ``is_permutation`` always answers with a bool, and a
 function that accepts float input must give what it gives for the same
-values as ints, so a fraction is never silently truncated.
+values as ints, so a fraction is never silently truncated.  Scalar
+integer arguments (sizes, round counts, seeds) and resample indices are
+checked the same way, each against its lower bound.
 """
 
 import dataclasses
@@ -18,16 +20,22 @@ from hypothesis import strategies as st
 
 from truematch import (
     LabelVector,
+    LloydClusterer,
     MatchingTable,
     ProbMatrix,
+    SimulationConfig,
     VoteMatrix,
     aligned_table,
     apply_permutation,
+    build_truth,
     canonical_pair,
     crosstab,
     inverse_permutation,
     is_permutation,
     majority_labels,
+    mmcc_run,
+    outlier_scenario,
+    simulate_cell,
 )
 
 ELEMENTS = st.one_of(
@@ -96,3 +104,75 @@ def test_returns_or_raises_value_error(name, x):
 @given(x=odd_arrays())
 def test_is_permutation_answers_with_a_bool(x):
     assert isinstance(is_permutation(x), bool)
+
+
+POINTS = np.array([[0.0, 0.0], [0.1, 0.2], [0.2, 0.1], [5.0, 5.0], [5.1, 4.9], [4.8, 5.2]])
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+def _mmcc(k=2, rounds=4, **options):
+    return mmcc_run(POINTS, k, LloydClusterer(), "truematch", rounds, _rng(), **options)
+
+
+def _cell(**fields):
+    return simulate_cell(SimulationConfig(**{"p": 0.5, "kappa": 0.5, "n_cases": 6, "rounds": 3, **fields}))
+
+
+# id: (argument, lower bound, a valid value, call taking the argument's value)
+SCALAR_INTEGER_CALLS = {
+    "mmcc_run-k": ("k", 1, 2, lambda x: _mmcc(k=x)),
+    "mmcc_run-rounds": ("rounds", 2, 3, lambda x: _mmcc(rounds=x)),
+    "mmcc_run-early_stop_window": ("early_stop_window", 1, 1, lambda x: _mmcc(early_stop_window=x)),
+    "build_truth": ("n_cases", 2, 4, lambda x: build_truth(x, 0.5)),
+    "VoteMatrix-rounds": ("rounds", 0, 1, lambda x: VoteMatrix([[1, 0]], x)),
+    "LloydClusterer-iterations": ("iterations", 1, 2,
+                                  lambda x: LloydClusterer(x).fit(POINTS, range(6), 2, _rng())),
+    "outlier_scenario-runs": ("runs", 1, 3, lambda x: outlier_scenario(x, "tracemax", _rng())),
+    "outlier_scenario-n_cases": ("n_cases", 2, 5, lambda x: outlier_scenario(3, "tracemax", _rng(), n_cases=x)),
+    "SimulationConfig-n_cases": ("n_cases", 2, 6, lambda x: _cell(n_cases=x)),
+    "SimulationConfig-rounds": ("rounds", 2, 3, lambda x: _cell(rounds=x)),
+    "SimulationConfig-seed": ("seed", 0, 4, lambda x: _cell(seed=x)),
+    "crosstab-k": ("k", 1, 2, lambda x: crosstab([1, 1], [1, 1], x)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(SCALAR_INTEGER_CALLS))
+@pytest.mark.parametrize("bad", ["2.5", "nan", "inf", "bound-1"])
+def test_scalar_integer_argument_rejected(call, bad):
+    name, low, _, fn = SCALAR_INTEGER_CALLS[call]
+    value = low - 1 if bad == "bound-1" else float(bad)
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        fn(value)
+
+
+@pytest.mark.parametrize("call", sorted(SCALAR_INTEGER_CALLS))
+def test_whole_float_integer_argument_acts_as_int(call):
+    _, low, valid, fn = SCALAR_INTEGER_CALLS[call]
+    for value in (low, valid):
+        # repr tells 2.0 from 2, so a stored float argument would show
+        assert repr(_plain(fn(float(value)))) == repr(_plain(fn(value)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda v: majority_labels(v, _rng()), lambda v: VoteMatrix(v, 1)],
+    ids=["majority_labels", "VoteMatrix"],
+)
+def test_negative_votes_rejected(call):
+    # a majority over negative votes would pick the least negative column
+    with pytest.raises(ValueError, match="votes must be >= 0, got -2"):
+        call([[-1, -2]])
+
+
+@pytest.mark.parametrize(
+    "picks, message",
+    [([-1, 0, 1, 3, 4, 5], ">= 0, got -1"), ([0, 1, 2, 3, 4, 9], "< 6, got 9")],
+    ids=["negative", "past-the-end"],
+)
+def test_resample_indices_outside_the_data_rejected(picks, message):
+    # a negative index would read a row from the end, one past the end would fail unlocated
+    with pytest.raises(ValueError, match=f"resample_indices must be {message}"):
+        LloydClusterer().fit(POINTS, picks, 2, _rng())

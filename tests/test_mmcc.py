@@ -328,9 +328,9 @@ class TestLloydEquivalence:
 class TestFictitiousClusterer:
     def test_probability_rows_validated(self):
         with pytest.raises(ValueError):
-            FictitiousClusterer(2, [[0.7, 0.7]])
+            FictitiousClusterer([[0.7, 0.7]])
         with pytest.raises(ValueError, match="finite"):
-            FictitiousClusterer(2, [[np.nan, np.nan]])
+            FictitiousClusterer([[np.nan, np.nan]])
 
     def test_proportions_respected(self):
         clusterer = random_clusterer([0.8, 0.2], shuffle_labels=False)
