@@ -294,8 +294,8 @@ class FictitiousClusterer:
     mimicking the arbitrary label order a real cluster algorithm returns.
     Useful as a controlled stand-in when studying the aggregation loop
     itself.  ``k``, the number of clusters it fits, is the number of
-    ``class_probs`` columns; one row serves every case when ``true_classes``
-    is not given.
+    ``class_probs`` columns; the first row serves every case when
+    ``true_classes`` is not given.
     """
 
     def __init__(self, class_probs, true_classes=None, shuffle_labels: bool = True):
