@@ -17,6 +17,13 @@ row/column shuffle of the table decides between co-optimal assignments,
 and explicit uniform draws order tied matched pairs.  Given the same
 table and generator state, results are reproducible bit for bit.
 
+The shuffle makes that choice equivariant: relabelling the table's rows
+or columns relabels the distribution of assignments the same way, so
+averages over random data show no systematic diagonal.  Every K=2 tie
+splits evenly: both row orders make the same in-frame decision, so the
+row shuffle alone swaps the two assignments.  At K >= 3 co-optimal
+assignments are not always picked equally often.
+
 The ``matched_table`` (built on read) renames matched pairs jointly: the
 pair presented first occupies cell (1, 1), the second (2, 2), and so on,
 with presentation order (count desc, signed residual desc, random draw).
@@ -143,10 +150,17 @@ def _match_by_assignment(
     k = table.k
     row_shuffle = rng.permutation(k)
     col_shuffle = rng.permutation(k)
-    shuffled_assign = solve_assignment(score[np.ix_(row_shuffle, col_shuffle)], "maximize") - 1
+    if k == 2:
+        # The compiled solver's own decision on a shuffled 2x2 score a b / c d,
+        # without its call: swap iff a + d < b + c, or on a tie iff a < b.
+        (a, b), (c, d) = score[row_shuffle[:, None], col_shuffle].tolist()
+        swap = a + d < b + c or (a + d == b + c and a < b)
+        shuffled_cols = col_shuffle[::-1] if swap else col_shuffle
+    else:
+        shuffled_cols = col_shuffle[solve_assignment(score[np.ix_(row_shuffle, col_shuffle)], "maximize") - 1]
     # Shuffled row i is original row row_shuffle[i]; likewise for columns.
     row_to_col = np.empty(k, dtype=np.int64)
-    row_to_col[row_shuffle] = col_shuffle[shuffled_assign]
+    row_to_col[row_shuffle] = shuffled_cols
     perm = np.argsort(row_to_col) + 1  # inverse of the bijection: column label c -> its row
     draws = rng.uniform(size=k)
     trace = {"row_shuffle": row_shuffle.tolist(), "col_shuffle": col_shuffle.tolist()}
@@ -161,9 +175,9 @@ def _match_by_assignment(
 def match_tracemax(table: MatchingTable, rng: np.random.Generator) -> MatchResult:
     """Classic matching: maximize the trace of raw counts.
 
-    Co-optimal permutations are selected uniformly through the initial
-    random shuffle, so fully symmetric tables match each orientation
-    with equal probability.
+    The initial random shuffle decides between co-optimal permutations
+    equivariantly, so fully symmetric tables, and every tied 2x2 table,
+    match each orientation with equal probability.
     """
     return _match_by_assignment(TRACEMAX, table, residuals(table), table.counts.astype(float), rng)
 

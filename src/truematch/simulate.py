@@ -258,29 +258,35 @@ def outlier_scenario(
     match_fn = resolve_matcher(matcher)
     method = matcher if isinstance(matcher, str) else getattr(matcher, "__name__", "custom")
 
+    # crosstab of two labelings that each give label 2 to one picked case,
+    # for picks that differ (same = 0) or coincide (same = 1)
+    tables = [MatchingTable([[n_cases - 2 + same, 1 - same], [1 - same, same]]) for same in (0, 1)]
+    # the four indices of each distinct matched table, computed once
+    scored: dict[bytes, np.ndarray] = {}
     table_acc = np.zeros((2, 2), dtype=float)
-    diag_acc = kappa_acc = rand_acc = crand_acc = 0.0
+    index_acc = np.zeros(4)
     coincide = 0
     for _ in range(runs):
-        # crosstab of two labelings that each give label 2 to one picked case
         same = int(rng.integers(n_cases) == rng.integers(n_cases))
-        table = MatchingTable([[n_cases - 2 + same, 1 - same], [1 - same, same]])
-        matched = match_fn(table, rng).matched_table
+        matched = match_fn(tables[same], rng).matched_table
+        key = matched.counts.tobytes()
+        if key not in scored:
+            scored[key] = np.array(
+                [diagonal_fraction(matched), cohen_kappa(matched), rand_index(matched), adjusted_rand(matched)]
+            )
         table_acc += matched.counts
-        diag_acc += diagonal_fraction(matched)
-        kappa_acc += cohen_kappa(matched)
-        rand_acc += rand_index(matched)
-        crand_acc += adjusted_rand(matched)
+        index_acc += scored[key]
         coincide += same
 
+    diagonal, kappa, rand, crand = (index_acc / runs).tolist()
     return OutlierScenarioResult(
         matcher=method,
         runs=runs,
         table_share=table_acc / (runs * n_cases),
-        diagonal=diag_acc / runs,
-        kappa=kappa_acc / runs,
-        rand=rand_acc / runs,
-        crand=crand_acc / runs,
+        diagonal=diagonal,
+        kappa=kappa,
+        rand=rand,
+        crand=crand,
         random_match_rate=coincide / runs,
     )
 

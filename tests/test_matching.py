@@ -1,13 +1,18 @@
+import itertools
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truematch import (
     MatchedPair,
     MatchingTable,
     aligned_table,
     apply_permutation,
+    brute_force_assignment,
     crosstab,
     inverse_permutation,
     match_tracemax,
@@ -15,6 +20,7 @@ from truematch import (
     match_truematch_heuristic,
     resolve_matcher,
     residuals,
+    solve_assignment,
 )
 from truematch.labels import LabelVector
 
@@ -69,6 +75,114 @@ def presentation_tables():
         padded[:, -1] = 0  # an unused column label, as canonical_pair pads
         tables.append(padded)
     return [MatchingTable(t) for t in tables if t.sum() > 0]
+
+
+def shuffle_pair_seeds():
+    """One generator seed for each of the four K=2 (row, column) shuffle pairs
+    that the assignment matchers draw first."""
+    seeds = {}
+    for seed in range(64):
+        rng = np.random.default_rng(seed)
+        seeds.setdefault((tuple(rng.permutation(2)), tuple(rng.permutation(2))), seed)
+    assert len(seeds) == 4
+    return [seeds[key] for key in sorted(seeds)]
+
+
+SHUFFLE_PAIR_SEEDS = shuffle_pair_seeds()
+
+# the score each assignment matcher maximizes
+ASSIGNMENT_SCORES = {
+    match_tracemax: lambda table: table.counts.astype(float),
+    match_truematch: lambda table: residuals(table).signed,
+}
+
+
+def two_by_two_tables(top):
+    """Every 2x2 count table with entries 0..top, except the all-zero one."""
+    return [MatchingTable(np.reshape(cells, (2, 2))) for cells in itertools.product(range(top + 1), repeat=4)
+            if any(cells)]
+
+
+def solver_row_to_col(result, score):
+    """The assignment the compiled solver picks on the shuffled score that
+    ``result`` recorded, mapped back to the original rows and columns."""
+    row_shuffle = np.array(result.seed_trace["row_shuffle"])
+    col_shuffle = np.array(result.seed_trace["col_shuffle"])
+    shuffled = solve_assignment(score[np.ix_(row_shuffle, col_shuffle)], "maximize") - 1
+    row_to_col = np.empty(2, dtype=np.int64)
+    row_to_col[row_shuffle] = col_shuffle[shuffled]
+    return row_to_col
+
+
+class TestTwoByTwoDecision:
+    """At K=2 the assignment matchers decide without calling the solver;
+    they must still return exactly the solver's assignment."""
+
+    @pytest.mark.parametrize("matcher", list(ASSIGNMENT_SCORES), ids=lambda f: f.__name__)
+    def test_every_small_table_matches_the_solver(self, matcher):
+        score_of = ASSIGNMENT_SCORES[matcher]
+        shuffles = set()
+        for table in two_by_two_tables(6):
+            score = score_of(table)
+            for seed in SHUFFLE_PAIR_SEEDS:
+                result = matcher(table, np.random.default_rng(seed))
+                shuffles.add((tuple(result.seed_trace["row_shuffle"]), tuple(result.seed_trace["col_shuffle"])))
+                assert result.row_to_col.tolist() == solver_row_to_col(result, score).tolist(), table.counts
+        assert len(shuffles) == 4
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 10**6), min_size=4, max_size=4).filter(any),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_large_counts_match_the_solver(self, cells, seed):
+        table = MatchingTable(np.reshape(cells, (2, 2)))
+        for matcher, score_of in ASSIGNMENT_SCORES.items():
+            result = matcher(table, np.random.default_rng(seed))
+            assert result.row_to_col.tolist() == solver_row_to_col(result, score_of(table)).tolist()
+
+    def test_tie_the_solver_swaps(self):
+        # a + d == b + c and a < b: the solver swaps, where the lexicographic
+        # brute force keeps the identity, so the rule follows the solver
+        score = np.array([[0.0, 1.0], [0.0, 1.0]])
+        assert solve_assignment(score, "maximize").tolist() == [2, 1]
+        assert brute_force_assignment(score, "maximize").tolist() == [1, 2]
+        identity_shuffles = SHUFFLE_PAIR_SEEDS[0]
+        result = match_tracemax(MatchingTable([[0, 1], [0, 1]]), np.random.default_rng(identity_shuffles))
+        assert result.seed_trace["row_shuffle"] == result.seed_trace["col_shuffle"] == [0, 1]
+        assert result.row_to_col.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("matcher", list(ASSIGNMENT_SCORES), ids=lambda f: f.__name__)
+    def test_every_tie_splits_evenly_over_the_shuffles(self, matcher):
+        # exact traces of the identity and the swap, in rationals
+        def traces(counts):
+            if matcher is match_tracemax:
+                return counts[0][0] + counts[1][1], counts[0][1] + counts[1][0]
+            n = sum(map(sum, counts))
+            rows = [sum(r) for r in counts]
+            cols = [counts[0][j] + counts[1][j] for j in range(2)]
+
+            def signed(i, j):
+                expected = Fraction(rows[i] * cols[j], n)
+                return 0 if expected == 0 else (counts[i][j] - expected) * abs(counts[i][j] - expected) / expected
+
+            return signed(0, 0) + signed(1, 1), signed(0, 1) + signed(1, 0)
+
+        tied = 0
+        for table in two_by_two_tables(4):
+            identity, swap = traces(table.counts.tolist())
+            if identity != swap:
+                continue
+            tied += 1
+            results = [matcher(table, np.random.default_rng(seed)) for seed in SHUFFLE_PAIR_SEEDS]
+            assert Counter(tuple(r.perm) for r in results) == {(1, 2): 2, (2, 1): 2}, table.counts
+            # under either column shuffle, the row shuffle alone decides
+            by_cols = {}
+            for r in results:
+                by_cols.setdefault(tuple(r.seed_trace["col_shuffle"]), set()).add(tuple(r.perm))
+            assert all(len(picked) == 2 for picked in by_cols.values()), table.counts
+        # a + d == b + c for tracemax; ad == bc for truematch
+        assert tied == {match_tracemax: 84, match_truematch: 112}[matcher]
 
 
 class TestTracemax:

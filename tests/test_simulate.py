@@ -4,13 +4,22 @@ import pytest
 import truematch.simulate
 
 from truematch import (
+    MatchingTable,
+    OutlierScenarioResult,
     SimulationConfig,
+    adjusted_rand,
     build_truth,
+    cohen_kappa,
     derive_cell_seed,
+    diagonal_fraction,
     enforce_sizes,
     fictitious_cluster,
     grid_sweep,
+    match_tracemax,
+    match_truematch,
     outlier_scenario,
+    rand_index,
+    resolve_matcher,
     simulate_cell,
 )
 
@@ -170,7 +179,53 @@ class TestGridSweep:
             grid_sweep([], [0.5], base)
 
 
+def reference_outlier_scenario(runs, matcher, rng, n_cases):
+    """Oracle for ``outlier_scenario``: a fresh table and all four
+    agreement indices on every run, accumulated in the same order."""
+    match_fn = resolve_matcher(matcher)
+    table_acc = np.zeros((2, 2), dtype=float)
+    diag_acc = kappa_acc = rand_acc = crand_acc = 0.0
+    coincide = 0
+    for _ in range(runs):
+        same = int(rng.integers(n_cases) == rng.integers(n_cases))
+        table = MatchingTable([[n_cases - 2 + same, 1 - same], [1 - same, same]])
+        matched = match_fn(table, rng).matched_table
+        table_acc += matched.counts
+        diag_acc += diagonal_fraction(matched)
+        kappa_acc += cohen_kappa(matched)
+        rand_acc += rand_index(matched)
+        crand_acc += adjusted_rand(matched)
+        coincide += same
+    return OutlierScenarioResult(
+        matcher=matcher if isinstance(matcher, str) else matcher.__name__,
+        runs=runs,
+        table_share=table_acc / (runs * n_cases),
+        diagonal=diag_acc / runs,
+        kappa=kappa_acc / runs,
+        rand=rand_acc / runs,
+        crand=crand_acc / runs,
+        random_match_rate=coincide / runs,
+    )
+
+
+def coin_flip_matcher(table, rng):
+    """A custom matcher: tracemax or truematch, by a fair draw."""
+    return (match_tracemax if rng.random() < 0.5 else match_truematch)(table, rng)
+
+
 class TestOutlierScenario:
+    @pytest.mark.parametrize("matcher", ["tracemax", "truematch", "truematch-heuristic", coin_flip_matcher],
+                             ids=lambda m: getattr(m, "__name__", m))
+    @pytest.mark.parametrize("n_cases", [2, 3, 100])
+    def test_bit_identical_to_scoring_every_run(self, matcher, n_cases):
+        for seed in range(3):
+            for runs in (1, 7, 200):
+                got = outlier_scenario(runs, matcher, np.random.default_rng(seed), n_cases=n_cases)
+                want = reference_outlier_scenario(runs, matcher, np.random.default_rng(seed), n_cases)
+                assert got.table_share.tolist() == want.table_share.tolist()
+                for field in ("matcher", "runs", "diagonal", "kappa", "rand", "crand", "random_match_rate"):
+                    assert getattr(got, field) == getattr(want, field), (field, seed, runs)
+
     def test_tracemax_quick(self):
         res = outlier_scenario(2000, "tracemax", np.random.default_rng(16))
         np.testing.assert_allclose(
