@@ -17,8 +17,7 @@ import click
 import numpy as np
 
 from .agreement import adjusted_rand, cohen_kappa, diagonal_fraction, rand_index
-# residuals is not called here but stays a module attribute: the span
-# tracer in perfbench/spans.py wraps truematch.cli.residuals
+# residuals is not called here; perfbench/spans.py wraps it as a module attribute
 from .crosstab import crosstab, residuals  # noqa: F401
 from .labels import LabelParseError, canonical_pair, parse_labels
 from .matching import MATCHERS, resolve_matcher

@@ -10,10 +10,11 @@ holding far more (or fewer) co-assignments than chance predicts dominate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .labels import _label_array, _whole
+from .labels import _label_array, _readonly, _trusted, _whole
 
 __all__ = ["MatchingTable", "ResidualMatrix", "crosstab", "residuals"]
 
@@ -23,7 +24,7 @@ class MatchingTable:
     """Square table of co-assignment counts between two labelings.
 
     Rows index the first labeling's clusters, columns the second's.
-    Marginals and the grand total are derived views of ``counts``.
+    ``counts`` is a read-only copy; marginals, total and residuals are computed once.
     """
 
     counts: np.ndarray
@@ -32,23 +33,38 @@ class MatchingTable:
         counts = _whole(self.counts, "counts", 2, 0)
         if counts.shape[0] != counts.shape[1] or counts.size == 0:
             raise ValueError(f"counts must be square and non-empty, got shape {counts.shape}")
-        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "counts", _readonly(counts.copy()))
+
+    def __reduce__(self):
+        return MatchingTable, (self.counts,)  # copies rebuild a read-only table, without the caches
 
     @property
     def k(self) -> int:
         return self.counts.shape[0]
 
-    @property
+    @cached_property
     def row_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
+        return _readonly(self.counts.sum(axis=1))
 
-    @property
+    @cached_property
     def col_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
+        return _readonly(self.counts.sum(axis=0))
 
-    @property
+    @cached_property
     def total(self) -> int:
         return int(self.counts.sum())
+
+    @cached_property
+    def _residuals(self) -> ResidualMatrix:
+        if self.total < 1:
+            raise ValueError("table must contain at least one observation")
+        counts = self.counts.astype(float)
+        expected = np.outer(self.row_sums, self.col_sums).astype(float) / self.total
+        diff = counts - expected
+        positive = expected > 0.0
+        dev = np.where(positive, diff * diff / np.where(positive, expected, 1.0), 0.0)
+        signed = np.sign(diff) * dev
+        return ResidualMatrix(expected=_readonly(expected), dev=_readonly(dev), signed=_readonly(signed))
 
 
 @dataclass(frozen=True)
@@ -87,13 +103,13 @@ def crosstab(a, b, k: int | None = None) -> MatchingTable:
         inputs' label spaces; rows/columns for unused labels stay zero.
     """
     if k is None:
-        k = max(getattr(v, "n_clusters", _label_array(v).max()) for v in (a, b))
+        k = max(v.n_clusters if hasattr(v, "n_clusters") else _label_array(v).max() for v in (a, b))
     k = _whole(k, "k", 0, 1)
     la, lb = _label_array(a, k), _label_array(b, k)
     if la.size != lb.size:
         raise ValueError(f"labelings must be equal length, got {la.size} vs {lb.size}")
     counts = np.bincount((la - 1) * k + (lb - 1), minlength=k * k).reshape(k, k)
-    return MatchingTable(counts)
+    return _trusted(MatchingTable, counts=_readonly(counts))
 
 
 def residuals(table: MatchingTable) -> ResidualMatrix:
@@ -102,14 +118,6 @@ def residuals(table: MatchingTable) -> ResidualMatrix:
     The sum of ``dev`` over all cells is the chi-squared statistic of the
     table.  Cells in an all-zero row or column have zero expectation and
     are defined to carry zero residual, which keeps zero-padded dummy
-    clusters neutral during matching.
+    clusters neutral during matching.  Computed once per table, read-only.
     """
-    if table.total < 1:
-        raise ValueError("table must contain at least one observation")
-    counts = table.counts.astype(float)
-    expected = np.outer(table.row_sums, table.col_sums).astype(float) / table.total
-    diff = counts - expected
-    positive = expected > 0.0
-    dev = np.where(positive, diff * diff / np.where(positive, expected, 1.0), 0.0)
-    signed = np.sign(diff) * dev
-    return ResidualMatrix(expected=expected, dev=dev, signed=signed)
+    return table._residuals

@@ -70,6 +70,19 @@ def _whole(value, name: str, ndim: int, low: int | None = None):
     return out
 
 
+def _trusted(cls, **fields):
+    """``cls(**fields)`` without its checks, for values the library has just built valid."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    """``arr``, a fresh array no caller holds, made read-only."""
+    arr.flags.writeable = False
+    return arr
+
+
 def _label_array(v, k: int | None = None, name: str = "labels") -> np.ndarray:
     """Labels of ``v`` as a non-empty 1-D int64 array, in 1..k if ``k`` is given."""
     labels = _whole(getattr(v, "labels", v), name, 1)

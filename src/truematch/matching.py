@@ -44,6 +44,7 @@ import numpy as np
 
 from .assignment import inverse_permutation, solve_assignment
 from .crosstab import MatchingTable, ResidualMatrix, residuals
+from .labels import _readonly, _trusted
 
 __all__ = [
     "MatchResult",
@@ -134,7 +135,8 @@ class MatchResult:
 
     @cached_property
     def matched_table(self) -> MatchingTable:
-        return MatchingTable(self.table.counts[np.ix_(self.row_order - 1, self.col_order - 1)])
+        rows, cols = self.row_order - 1, self.col_order - 1
+        return _trusted(MatchingTable, counts=_readonly(self.table.counts[rows[:, None], cols]))
 
     @cached_property
     def pairs(self) -> tuple[MatchedPair, ...]:
@@ -210,11 +212,9 @@ def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) ->
     sub, signed = table.counts, full.signed
     for step in range(k - 1):
         if step:
-            sub = table.counts[np.ix_(live_rows, live_cols)]
-            if sub.sum() > 0:
-                signed = residuals(MatchingTable(sub)).signed
-            else:
-                signed = np.zeros_like(sub, dtype=float)
+            sub = _readonly(table.counts[np.ix_(live_rows, live_cols)])
+            sub_table = _trusted(MatchingTable, counts=sub)
+            signed = residuals(sub_table).signed if sub_table.total else np.zeros(sub.shape)
         top = signed == signed.max()
         counts_top = sub[top].max()
         top &= sub == counts_top
@@ -270,4 +270,4 @@ def aligned_table(table: MatchingTable, perm) -> MatchingTable:
     colmap = inverse_permutation(perm) - 1
     if colmap.size != table.k:
         raise ValueError(f"perm must have {table.k} entries, got {colmap.size}")
-    return MatchingTable(table.counts[:, colmap])
+    return _trusted(MatchingTable, counts=_readonly(table.counts[:, colmap]))

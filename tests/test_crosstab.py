@@ -1,9 +1,25 @@
+import copy
+import importlib
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from truematch import MatchingTable, crosstab, residuals
+from truematch import (
+    LabelVector,
+    MatchingTable,
+    aligned_table,
+    crosstab,
+    match_tracemax,
+    match_truematch,
+    match_truematch_heuristic,
+    residuals,
+)
+from truematch.labels import _label_array
+
+CROSSTAB_MODULE = importlib.import_module("truematch.crosstab")
 
 OUTLIER_MATCHED = [[99, 0], [0, 1]]
 OUTLIER_MISSED = [[98, 1], [1, 0]]
@@ -53,6 +69,28 @@ class TestCrosstab:
         assert table.row_sums.tolist() == [2, 3]
         assert table.col_sums.tolist() == [2, 3]
         assert table.total == 5
+
+    def test_label_space_from_n_clusters(self):
+        a = LabelVector(np.array([1, 2, 1]), 5)
+        b = LabelVector(np.array([2, 2, 1]), 5)
+        table = crosstab(a, b)
+        assert table.counts.shape == (5, 5)
+        assert table.total == 3
+
+    def test_each_input_checked_once_without_k(self, monkeypatch):
+        calls = []
+
+        def counted(v, *args, **kwargs):
+            calls.append(args)
+            return _label_array(v, *args, **kwargs)
+
+        monkeypatch.setattr(CROSSTAB_MODULE, "_label_array", counted)
+        table = crosstab(LabelVector(np.array([1, 2]), 5), LabelVector(np.array([2, 1]), 3))
+        assert table.k == 5
+        assert calls == [(5,), (5,)]
+        calls.clear()
+        assert crosstab([1, 3], LabelVector(np.array([2, 1]), 2)).k == 3
+        assert calls == [(), (3,), (3,)]
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=400),
@@ -159,3 +197,89 @@ class TestMatchingTable:
     def test_rejects_fractional(self):
         with pytest.raises(ValueError):
             MatchingTable([[1.5, 0], [0, 1]])
+
+
+def reference_signed(counts):
+    # the residual arithmetic written out, step for step, on plain arrays
+    counts = np.asarray(counts, dtype=np.int64)
+    expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)).astype(float) / int(counts.sum())
+    diff = counts.astype(float) - expected
+    positive = expected > 0.0
+    dev = np.where(positive, diff * diff / np.where(positive, expected, 1.0), 0.0)
+    return expected, dev, np.sign(diff) * dev
+
+
+def same_bits(x, y):
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+class TestImmutableTable:
+    def test_residuals_computed_once_per_table(self):
+        table = MatchingTable([[3, 1], [0, 2]])
+        assert residuals(table) is residuals(table)
+
+    def test_counts_and_residuals_read_only(self):
+        table = MatchingTable([[3, 1, 0], [0, 2, 4], [1, 1, 1]])
+        res = residuals(table)
+        for arr in (table.counts, table.row_sums, table.col_sums, res.expected, res.dev, res.signed):
+            with pytest.raises(ValueError):
+                arr[0] = 7
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_caller_array_stays_writable_and_unaliased(self, read_first):
+        owned = np.array([[5, 1], [2, 4]], dtype=np.int64)
+        table = MatchingTable(owned)
+        before = residuals(MatchingTable(owned.copy()))
+        if read_first:
+            residuals(table)
+        owned[0, 0] = 100
+        owned[1] = 0
+        assert owned.flags.writeable
+        assert table.counts.tolist() == [[5, 1], [2, 4]]
+        assert table.row_sums.tolist() == [6, 6]
+        assert table.col_sums.tolist() == [7, 5]
+        assert table.total == 12
+        for name in ("expected", "dev", "signed"):
+            assert same_bits(getattr(residuals(table), name), getattr(before, name))
+
+    def test_library_made_tables_read_only(self):
+        table = crosstab([1, 2, 2], [2, 1, 2])
+        result = match_truematch(table, np.random.default_rng(0))
+        for made in (table, result.matched_table, aligned_table(table, result.perm)):
+            assert not made.counts.flags.writeable
+            assert made.counts.dtype == np.int64
+
+    @settings(max_examples=150, deadline=None)
+    @given(square_count_tables(max_k=8, max_count=10**6))
+    def test_cached_equals_fresh(self, counts):
+        table = MatchingTable(counts)
+        first = residuals(table)
+        cached = residuals(table)
+        fresh = residuals(MatchingTable(counts))
+        assert cached is first and fresh is not first
+        for name, ref in zip(("expected", "dev", "signed"), reference_signed(counts)):
+            assert same_bits(getattr(cached, name), getattr(fresh, name))
+            assert same_bits(getattr(cached, name), ref)
+
+    def test_all_zero_table_fails_on_every_call(self):
+        table = MatchingTable([[0, 0], [0, 0]])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="at least one observation"):
+                residuals(table)
+
+    @pytest.mark.parametrize("matcher", [match_tracemax, match_truematch, match_truematch_heuristic])
+    def test_matchers_reject_all_zero_table_at_the_call(self, matcher):
+        table = MatchingTable(np.zeros((3, 3), dtype=np.int64))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="at least one observation"):
+                matcher(table, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_read_only_tables(self, copier):
+        table = MatchingTable([[5, 1], [2, 4]])
+        original = residuals(table)
+        copied = copier(table)
+        assert not copied.counts.flags.writeable
+        assert copied.counts.tolist() == [[5, 1], [2, 4]] and copied.total == 12
+        assert same_bits(residuals(copied).signed, original.signed)

@@ -1,4 +1,5 @@
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 
@@ -77,15 +78,15 @@ def presentation_tables():
     return [MatchingTable(t) for t in tables if t.sum() > 0]
 
 
-def shuffle_pair_seeds():
-    """One generator seed for each of the four K=2 (row, column) shuffle pairs
+def shuffle_pair_seeds(k=2):
+    """One generator seed for each of the K!^2 (row, column) shuffle pairs
     that the assignment matchers draw first."""
     seeds = {}
-    for seed in range(64):
+    for seed in itertools.count():
         rng = np.random.default_rng(seed)
-        seeds.setdefault((tuple(rng.permutation(2)), tuple(rng.permutation(2))), seed)
-    assert len(seeds) == 4
-    return [seeds[key] for key in sorted(seeds)]
+        seeds.setdefault((tuple(rng.permutation(k)), tuple(rng.permutation(k))), seed)
+        if len(seeds) == math.factorial(k) ** 2:
+            return [seeds[key] for key in sorted(seeds)]
 
 
 SHUFFLE_PAIR_SEEDS = shuffle_pair_seeds()
@@ -95,6 +96,20 @@ ASSIGNMENT_SCORES = {
     match_tracemax: lambda table: table.counts.astype(float),
     match_truematch: lambda table: residuals(table).signed,
 }
+
+
+def exact_score(counts, matcher):
+    """The score ``matcher`` maximizes, in rationals."""
+    if matcher is match_tracemax:
+        return [[Fraction(x) for x in row] for row in counts]
+    n = sum(map(sum, counts))
+    rows, cols = [sum(r) for r in counts], [sum(c) for c in zip(*counts)]
+
+    def signed(i, j):
+        expected = Fraction(rows[i] * cols[j], n)
+        return 0 if expected == 0 else (counts[i][j] - expected) * abs(counts[i][j] - expected) / expected
+
+    return [[signed(i, j) for j in range(len(cols))] for i in range(len(rows))]
 
 
 def two_by_two_tables(top):
@@ -156,17 +171,8 @@ class TestTwoByTwoDecision:
     def test_every_tie_splits_evenly_over_the_shuffles(self, matcher):
         # exact traces of the identity and the swap, in rationals
         def traces(counts):
-            if matcher is match_tracemax:
-                return counts[0][0] + counts[1][1], counts[0][1] + counts[1][0]
-            n = sum(map(sum, counts))
-            rows = [sum(r) for r in counts]
-            cols = [counts[0][j] + counts[1][j] for j in range(2)]
-
-            def signed(i, j):
-                expected = Fraction(rows[i] * cols[j], n)
-                return 0 if expected == 0 else (counts[i][j] - expected) * abs(counts[i][j] - expected) / expected
-
-            return signed(0, 0) + signed(1, 1), signed(0, 1) + signed(1, 0)
+            score = exact_score(counts, matcher)
+            return score[0][0] + score[1][1], score[0][1] + score[1][0]
 
         tied = 0
         for table in two_by_two_tables(4):
@@ -183,6 +189,91 @@ class TestTwoByTwoDecision:
             assert all(len(picked) == 2 for picked in by_cols.values()), table.counts
         # a + d == b + c for tracemax; ad == bc for truematch
         assert tied == {match_tracemax: 84, match_truematch: 112}[matcher]
+
+
+# Tied 3x3 tables and how often each assignment matcher picks their
+# co-optimal assignments over all 36 shuffle pairs, most picked first.  The
+# unequal splits are facts of shuffle-then-solve, not a target; each zero is
+# a co-optimal assignment that float rounding puts below another.
+TIED_3X3 = {
+    match_tracemax: {
+        ((1, 1, 2), (3, 0, 3), (2, 1, 2)): [18, 12, 6],
+        ((2, 0, 3), (0, 3, 2), (0, 0, 1)): [21, 15],
+        ((2, 1, 3), (2, 1, 0), (2, 1, 2)): [24, 12],
+        ((1, 1, 2), (2, 2, 2), (3, 3, 3)): [18, 18],
+        ((3, 3, 3), (2, 1, 2), (1, 1, 1)): [9, 9, 9, 9],
+        ((1, 1, 1), (1, 1, 1), (1, 1, 1)): [6] * 6,
+        ((1, 1, 0), (1, 1, 0), (0, 0, 2)): [18, 18],
+        ((1, 0, 1), (0, 1, 1), (1, 1, 0)): [18, 18],
+    },
+    match_truematch: {
+        ((1, 0, 2), (1, 1, 3), (3, 2, 0)): [24, 12],
+        ((1, 2, 3), (0, 1, 1), (1, 3, 1)): [24, 12],
+        ((0, 1, 1), (1, 0, 3), (1, 3, 2)): [36, 0, 0],
+        ((2, 3, 1), (2, 3, 3), (1, 2, 2)): [36, 0],
+        ((2, 0, 3), (3, 2, 1), (3, 2, 1)): [18, 18],
+        ((1, 1, 1), (1, 1, 1), (1, 1, 1)): [6] * 6,
+        ((1, 1, 0), (1, 1, 0), (0, 0, 2)): [18, 18],
+        ((1, 0, 1), (0, 1, 1), (1, 1, 0)): [18, 18],
+    },
+}
+PERMS_3 = list(itertools.permutations(range(3)))
+# (sigma, tau): the relabelled table's cell (i, j) is the original's (sigma[i], tau[j])
+RELABELLINGS_3 = [((1, 2, 0), (0, 1, 2)), ((0, 1, 2), (2, 0, 1)), ((2, 1, 0), (1, 0, 2)), ((1, 0, 2), (1, 0, 2))]
+
+
+def picks_over_shuffles(matcher, counts):
+    """How often ``matcher`` picks each assignment (row -> column, 0-based)
+    over one seed per 3x3 shuffle pair."""
+    table = MatchingTable(counts)
+    return Counter(tuple(matcher(table, np.random.default_rng(s)).row_to_col.tolist()) for s in K3_SEEDS)
+
+
+def relabel(picks, sigma, tau):
+    """``picks`` of a table as assignments of its (sigma, tau) relabelling."""
+    tau_inv = np.argsort(tau)
+    return Counter({tuple(int(tau_inv[a[r]]) for r in sigma): n for a, n in picks.items()})
+
+
+K3_SEEDS = shuffle_pair_seeds(3)
+
+
+class TestThreeByThreeTies:
+    """The choice among tied K=3 assignments, exhaustively over the 36
+    shuffle pairs: co-optimal, equivariant and even on symmetric orbits,
+    but not uniform."""
+
+    @pytest.mark.parametrize("matcher", list(TIED_3X3), ids=lambda f: f.__name__)
+    def test_every_pick_is_co_optimal(self, matcher):
+        assert len(K3_SEEDS) == 36
+        for counts, pinned in TIED_3X3[matcher].items():
+            score = exact_score(counts, matcher)
+            traces = {a: sum(score[r][c] for r, c in enumerate(a)) for a in PERMS_3}
+            co_optimal = {a for a, trace in traces.items() if trace == max(traces.values())}
+            picks = picks_over_shuffles(matcher, counts)
+            assert set(picks) <= co_optimal, counts
+            assert sorted((picks[a] for a in co_optimal), reverse=True) == pinned, counts
+
+    @pytest.mark.parametrize("matcher", list(TIED_3X3), ids=lambda f: f.__name__)
+    def test_relabelling_relabels_the_picks(self, matcher):
+        for counts in TIED_3X3[matcher]:
+            picks = picks_over_shuffles(matcher, counts)
+            for sigma, tau in RELABELLINGS_3:
+                moved = np.asarray(counts)[np.ix_(sigma, tau)]
+                assert picks_over_shuffles(matcher, moved) == relabel(picks, sigma, tau), (counts, sigma, tau)
+
+    @pytest.mark.parametrize("matcher", list(TIED_3X3), ids=lambda f: f.__name__)
+    def test_symmetric_assignments_picked_equally(self, matcher):
+        moving = 0
+        for counts in TIED_3X3[matcher]:
+            arr = np.asarray(counts)
+            picks = picks_over_shuffles(matcher, counts)
+            for sigma, tau in itertools.product(PERMS_3, PERMS_3):
+                if np.array_equal(arr[np.ix_(sigma, tau)], arr):
+                    assert relabel(picks, sigma, tau) == picks, (counts, sigma, tau)
+                    moving += any(relabel(Counter([a]), sigma, tau) != Counter([a]) for a in picks)
+        # the corpus holds symmetries that map a picked assignment onto another
+        assert moving > 0
 
 
 class TestTracemax:
