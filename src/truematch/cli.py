@@ -34,15 +34,15 @@ def _json_text(value, nl: str = "\n") -> str:
     digits.  Keys must be strings; ``nl`` is the newline and indent of the
     enclosing level.
 
-    Each numpy array is rendered row by row through C-level ``map``s
+    Each numpy array is rendered row by row, one ``%`` format a row,
     instead of one Python call per number.
     """
     if isinstance(value, (str, bool)) or value is None:
         return json.dumps(value)
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
+    if isinstance(value, float):  # NaN and infinities as json.dumps prints them
+        return float.__repr__(float(f"{value:.6g}")) if math.isfinite(value) else json.dumps(value)
     inner = nl + "  "
     if isinstance(value, dict):
         if not value:
@@ -50,37 +50,44 @@ def _json_text(value, nl: str = "\n") -> str:
         items = [f"{json.dumps(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if isinstance(value, np.ndarray):
+        if value.ndim and value.dtype.kind == "f":
+            return _float_array_text(value, nl)
         if value.ndim > 1:
             return _bracket([_json_text(row, inner) for row in value], nl)
-        if value.ndim and value.dtype.kind in "iuf":
-            return _bracket(_array_items(value), nl)
+        if value.ndim and value.dtype.kind in "iu":
+            return _bracket(value.tolist(), nl, ["%d"] * value.size)
         return _json_text(value.tolist(), nl)
     if isinstance(value, (list, tuple)):
         return _bracket([_json_text(item, inner) for item in value], nl)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _float_text(x: float) -> str:
-    if math.isfinite(x):
-        return float.__repr__(float(f"{x:.6g}"))
-    return json.dumps(x)  # NaN, Infinity, -Infinity
+def _float_array_text(arr: np.ndarray, nl: str, mask: np.ndarray | None = None) -> str:
+    """A float array's JSON text.  Only the floats ``mask`` marks go back through ``float``:
+    by default NaN, inf and all within 1e-5 * max(1, |x|) of an integer.  These include every
+    float whose ``"%.6g"`` text is integral (``3``, ``-0``) or has an exponent of 6 to 15."""
+    if mask is None:  # in place: two matrices of float64 at most
+        mag = np.abs(arr, dtype=np.float64)
+        dist = np.rint(mag)
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, marked as no comparison holds
+            np.abs(np.subtract(mag, dist, out=dist), out=dist)
+        mask = ~(dist > np.multiply(np.maximum(mag, 1.0, out=mag), 1e-5, out=mag))
+        del mag, dist
+    if arr.ndim > 1:
+        return _bracket([_float_array_text(row, nl + "  ", m) for row, m in zip(arr, mask)], nl)
+    values, fmt = arr.tolist(), ["%.6g"] * arr.size
+    for i in np.flatnonzero(mask).tolist():
+        fmt[i], v = "%s", values[i]
+        values[i] = float.__repr__(float("%.6g" % v)) if math.isfinite(v) else json.dumps(v)
+    return _bracket(values, nl, fmt)
 
 
-def _array_items(arr: np.ndarray) -> list[str]:
-    """The JSON text of each element of a 1-D integer or float array."""
-    values = arr.tolist()
-    if arr.dtype.kind in "iu":
-        return list(map(int.__repr__, values))
-    if np.isfinite(arr).all():
-        return list(map(float.__repr__, map(float, map("{:.6g}".format, values))))
-    return list(map(_float_text, values))
-
-
-def _bracket(items: list[str], nl: str) -> str:
+def _bracket(items: list, nl: str, fmt: list[str] | None = None) -> str:
+    """JSON list text of ``items``, item i printed by ``fmt[i] % item`` (default: as text)."""
     if not items:
         return "[]"
-    inner = nl + "  "
-    return "[" + inner + ("," + inner).join(items) + nl + "]"
+    inner, sep = nl + "  ", "," + nl + "  "
+    return "[" + inner + (sep.join(items) if fmt is None else sep.join(fmt) % tuple(items)) + nl + "]"
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:

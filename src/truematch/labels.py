@@ -39,7 +39,7 @@ class LabelVector:
 
     ``n_clusters`` may exceed the number of labels actually present: a
     vector canonicalized against a partner with more clusters keeps the
-    larger label space so that downstream tables stay square.
+    larger label space so that downstream tables stay square.  ``labels`` is a read-only copy.
     """
 
     labels: np.ndarray
@@ -47,7 +47,7 @@ class LabelVector:
 
     def __post_init__(self):
         n_clusters = _whole(self.n_clusters, "n_clusters", 0)
-        object.__setattr__(self, "labels", _label_array(self.labels, n_clusters))
+        object.__setattr__(self, "labels", _readonly(_label_array(self.labels, n_clusters).copy()))
         object.__setattr__(self, "n_clusters", n_clusters)
 
     def __len__(self) -> int:
@@ -126,7 +126,7 @@ def parse_labels(source) -> tuple[LabelVector, dict[str, int]]:
 
     mapping = {tok: i for i, tok in enumerate(dict.fromkeys(tokens), start=1)}
     out = np.fromiter(map(mapping.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-    return LabelVector(out, len(mapping)), mapping
+    return _trusted(LabelVector, labels=_readonly(out), n_clusters=len(mapping)), mapping
 
 
 def serialize_labels(vector: LabelVector, header: bool = True) -> str:
@@ -160,10 +160,9 @@ def canonical_pair(a, b) -> tuple[LabelVector, LabelVector, int]:
     la, lb = _label_array(a), _label_array(b)
     if la.size != lb.size:
         raise ValueError(f"length mismatch: {la.size} vs {lb.size}")
-    ca, ka = _compact(la)
-    cb, kb = _compact(lb)
-    k = max(ka, kb)
-    return LabelVector(ca, k), LabelVector(cb, k), k
+    (ca, ka), (cb, kb) = _compact(la), _compact(lb)
+    va, vb = (_trusted(LabelVector, labels=_readonly(c), n_clusters=max(ka, kb)) for c in (ca, cb))
+    return va, vb, va.n_clusters
 
 
 def apply_permutation(vector, perm) -> LabelVector:

@@ -202,35 +202,44 @@ def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) ->
     """
     k = table.k
     full = residuals(table)
-    live_rows = np.arange(k)
-    live_cols = np.arange(k)
+    live_rows, live_cols = list(range(k)), list(range(k))
     row_to_col = np.empty(k, dtype=np.int64)
     # pairs are reported in selection order with the selection-time residual
     pair_order = np.empty(k, dtype=np.int64)
     sel_signed = np.zeros(k)
     tie_draws: list[int] = []
     sub, signed = table.counts, full.signed
-    for step in range(k - 1):
+    if k > 2:
+        # The live n x n subtable is cf[:n, :n] with margins rs[:n], cs[:n].  Floats hold
+        # integers below 2**53 exactly, so d * |d| / E is bit for bit residuals()' value.
+        cf = table.counts.astype(float)
+        rs, cs = cf.sum(axis=1), cf.sum(axis=0)
+        expected, diff, absdiff = np.empty((3, (k - 1) ** 2))  # reused, n * n cells a step
+    for step, n in enumerate(range(k, 1, -1)):
         if step:
-            sub = _readonly(table.counts[np.ix_(live_rows, live_cols)])
-            sub_table = _trusted(MatchingTable, counts=sub)
-            signed = residuals(sub_table).signed if sub_table.total else np.zeros(sub.shape)
-        top = signed == signed.max()
-        counts_top = sub[top].max()
-        top &= sub == counts_top
-        flat = np.flatnonzero(top)
-        if flat.size == 1:
-            pick = int(flat[0])
-        else:
-            pick = int(rng.choice(flat))
+            sub, signed = cf[:n, :n], diff[: n * n].reshape(n, n)
+            e = np.outer(rs[:n], cs[:n], out=expected[: n * n].reshape(n, n))
+            np.subtract(sub, np.divide(e, max(rs[:n].sum(), 1.0), out=e), out=signed)
+            e[rs[:n] == 0] = e[:, cs[:n] == 0] = 1.0  # d = 0 - 0 there (or everywhere): residual +0
+            signed *= np.abs(signed, out=absdiff[: n * n].reshape(n, n))
+            signed /= e
+        flat = np.flatnonzero(signed == signed.max())
+        if flat.size > 1:  # ties on the residual go to the larger count, then to a draw
+            top = sub[flat // n, flat % n]
+            flat = flat[top == top.max()]
+        pick = int(flat[0] if flat.size == 1 else rng.choice(flat))
+        if flat.size > 1:
             tie_draws.append(pick)
-        r, c = divmod(pick, live_cols.size)
-        row = live_rows[r]
-        row_to_col[row] = live_cols[c]
+        r, c = divmod(pick, n)
+        row = live_rows.pop(r)
+        row_to_col[row] = live_cols.pop(c)
         sel_signed[row] = signed[r, c]
         pair_order[step] = row
-        live_rows = np.delete(live_rows, r)
-        live_cols = np.delete(live_cols, c)
+        if n > 2:  # drop row r and column c, keeping the order of the rest
+            rs[:n], cs[:n] = rs[:n] - cf[:n, c], cs[:n] - cf[r, :n]
+            rs[r : n - 1], cs[c : n - 1] = rs[r + 1 : n], cs[c + 1 : n]
+            cf[r : n - 1, :n] = cf[r + 1 : n, :n]
+            cf[: n - 1, c : n - 1] = cf[: n - 1, c + 1 : n]
     # a 1x1 subtable always has zero residual: its count equals its margins
     row_to_col[live_rows[0]] = live_cols[0]
     pair_order[k - 1] = live_rows[0]

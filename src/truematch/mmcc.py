@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crosstab import crosstab
-from .labels import LabelVector, _label_array, _trusted, _whole
+from .labels import LabelVector, _label_array, _readonly, _trusted, _whole
 from .matching import resolve_matcher
 
 __all__ = [
@@ -122,7 +122,7 @@ def majority_labels(votes, rng: np.random.Generator) -> LabelVector:
     top = v == columns.max(axis=0)[:, None]
     draw = rng.uniform(size=v.shape)
     labels = np.where(top, draw, -1.0).argmax(axis=1) + 1
-    return _trusted(LabelVector, labels=labels.astype(np.int64), n_clusters=v.shape[1])
+    return _trusted(LabelVector, labels=_readonly(labels.astype(np.int64)), n_clusters=v.shape[1])
 
 
 def mmcc_run(

@@ -20,7 +20,7 @@ import numpy as np
 
 from .agreement import adjusted_rand, cohen_kappa, diagonal_fraction, rand_index
 from .crosstab import MatchingTable, crosstab
-from .labels import LabelVector, _label_array, _trusted, _whole
+from .labels import LabelVector, _label_array, _readonly, _trusted, _whole
 from .matching import resolve_matcher
 from .mmcc import REDRAW_BUDGET, CicStats, ProbMatrix, VoteMatrix, cic_stats, majority_labels
 
@@ -119,7 +119,7 @@ def fictitious_cluster(truth, kappa: float, rng: np.random.Generator, p: float |
         p = float((labels == 2).mean())
     keep = kappa + (1.0 - kappa) * np.where(labels == 1, 1.0 - p, p)
     stay = rng.uniform(size=labels.size) < keep
-    return _trusted(LabelVector, labels=np.where(stay, labels, 3 - labels), n_clusters=2)
+    return _trusted(LabelVector, labels=_readonly(np.where(stay, labels, 3 - labels)), n_clusters=2)
 
 
 def enforce_sizes(judged, target, rng: np.random.Generator) -> LabelVector:
@@ -140,7 +140,7 @@ def enforce_sizes(judged, target, rng: np.random.Generator) -> LabelVector:
     elif surplus_two < 0:
         movers = rng.choice(np.flatnonzero(labels == 1), size=-surplus_two, replace=False)
         labels[movers] = 2
-    return _trusted(LabelVector, labels=labels, n_clusters=2)
+    return _trusted(LabelVector, labels=_readonly(labels), n_clusters=2)
 
 
 def simulate_cell(cfg: SimulationConfig) -> CellResult:

@@ -97,6 +97,17 @@ class TestOracle:
         arr = np.array(SPECIAL)
         assert _json_text({"x": arr, "y": SPECIAL}) == reference({"x": arr, "y": SPECIAL})
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+    def test_integral_text_of_non_integers(self, dtype):
+        # "{:.6g}" prints each of these without a point or exponent although it
+        # is no integer (or prints an exponent of 6-15), so each needs its repr
+        edge = [12345.04, 0.9999996, 99999.49, 99999.5, -4e-07, -0.0]
+        rows = [edge, [1234567.8, 0.25, -99999.96, 1e15 + 0.5, 3.0, 2.5e-05], edge[::-1]]
+        with np.errstate(over="ignore"):  # float16 holds no value above 65504
+            arr = np.array(rows, dtype=dtype)
+        payload = {"m": arr, "row": arr[0], "cube": np.stack([arr, -arr])}
+        assert _json_text(payload) == reference(payload)
+
     def test_non_ascii_strings_and_keys(self):
         payload = {"ä": "snow ☃ \U0001f600", "b\n": ["é", "\x00"], "": {}}
         assert _json_text(payload) == reference(payload)
@@ -110,31 +121,30 @@ class TestOracle:
 
 
 def test_k400_match_payload(tmp_path):
-    method = "truematch"
     rng = np.random.default_rng(400)
     k, n = 400, 20_000
     a, b = rng.integers(0, k, n), rng.integers(0, k, n)
     a[:k], b[:k] = np.arange(k), np.arange(k)  # every label occurs in both files
     for name, labels in (("a", a), ("b", b)):
         (tmp_path / f"{name}.txt").write_text("\n".join(f"c{x}" for x in labels) + "\n")
-    out = tmp_path / "out.json"
-    result = CliRunner().invoke(
-        main, ["match", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"),
-               "--method", method, "--seed", "3", "--out", str(out)],
-    )
-    assert result.exit_code == 0, result.output
-
     # the labels are first-appearance ranks already, so canonical = raw + 1
     table = crosstab(a + 1, b + 1, k)
-    res = resolve_matcher(method)(table, np.random.default_rng(3))
-    payload = {
-        "method": method,
-        "seed": 3,
-        "perm": res.perm.tolist(),
-        "pairs": [[p.row, p.column, p.signed_dev, p.count] for p in res.pairs],
-        "table_before": table.counts.tolist(),
-        "table_after": res.matched_table.counts.tolist(),
-        "signed_residuals": res.residuals.signed.tolist(),
-        "chi2": res.residuals.chi2,
-    }
-    assert out.read_text(encoding="utf-8") == reference(payload) + "\n"
+    for method in ("truematch", "truematch-heuristic"):
+        out = tmp_path / f"{method}.json"
+        result = CliRunner().invoke(
+            main, ["match", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"),
+                   "--method", method, "--seed", "3", "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        res = resolve_matcher(method)(table, np.random.default_rng(3))
+        payload = {
+            "method": method,
+            "seed": 3,
+            "perm": res.perm.tolist(),
+            "pairs": [[p.row, p.column, p.signed_dev, p.count] for p in res.pairs],
+            "table_before": table.counts.tolist(),
+            "table_after": res.matched_table.counts.tolist(),
+            "signed_residuals": res.residuals.signed.tolist(),
+            "chi2": res.residuals.chi2,
+        }
+        assert out.read_text(encoding="utf-8") == reference(payload) + "\n", method

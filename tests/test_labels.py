@@ -165,6 +165,33 @@ class TestLabelVector:
         with pytest.raises(ValueError):
             LabelVector(np.array([], dtype=np.int64), 1)
 
+    def test_keeps_a_read_only_copy(self):
+        arr = np.array([1, 2, 1])
+        v = LabelVector(arr, 2)
+        arr[0] = 9
+        assert v.labels.tolist() == [1, 2, 1]
+        assert not v.labels.flags.writeable
+        with pytest.raises(ValueError):
+            v.labels[0] = 9
+        assert crosstab(v, v).counts.tolist() == [[2, 0], [0, 1]]
+
+    def test_library_made_vectors_read_only(self):
+        rng = np.random.default_rng(0)
+        source = np.array([3, 1, 3, 2])
+        va, vb, _ = canonical_pair(source, source)
+        source[0] = 1
+        truth = np.array([1, 1, 2, 2])
+        made = [
+            parse_labels("x\ny\nx\n")[0], va, vb,
+            apply_permutation(va, [2, 3, 1]),
+            fictitious_cluster(truth, 0.5, rng),
+            enforce_sizes(truth, (2, 2), rng),
+            majority_labels(VoteMatrix(np.array([[2, 1], [0, 3]]), 3), rng),
+        ]
+        assert va.labels.tolist() == [3, 1, 3, 2]
+        for v in made:
+            assert not v.labels.flags.writeable
+
 
 @pytest.mark.parametrize(
     "name, call",

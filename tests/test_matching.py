@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from truematch import (
@@ -343,6 +343,63 @@ class TestTruematch:
         assert res.matched_table.counts.tolist() == [[7]]
 
 
+def reference_heuristic(table, rng):
+    """The greedy loop as a validated table per subtable: gather the live rows
+    and columns, build a ``MatchingTable`` and compute its ``residuals``."""
+    k = table.k
+    live_rows, live_cols = np.arange(k), np.arange(k)
+    row_to_col, pair_order = np.empty(k, dtype=np.int64), np.empty(k, dtype=np.int64)
+    pair_signed = np.zeros(k)
+    tie_draws = []
+    for step in range(k - 1):
+        sub = table.counts[np.ix_(live_rows, live_cols)]
+        signed = residuals(MatchingTable(sub)).signed if sub.sum() else np.zeros(sub.shape)
+        top = signed == signed.max()
+        top &= sub == sub[top].max()
+        flat = np.flatnonzero(top)
+        if flat.size == 1:
+            pick = int(flat[0])
+        else:
+            pick = int(rng.choice(flat))
+            tie_draws.append(pick)
+        r, c = divmod(pick, live_cols.size)
+        row_to_col[live_rows[r]] = live_cols[c]
+        pair_signed[live_rows[r]] = signed[r, c]
+        pair_order[step] = live_rows[r]
+        live_rows, live_cols = np.delete(live_rows, r), np.delete(live_cols, c)
+    row_to_col[live_rows[0]] = live_cols[0]
+    pair_order[k - 1] = live_rows[0]
+    return np.argsort(row_to_col) + 1, tie_draws, rng.uniform(size=k), pair_order, pair_signed
+
+
+def assert_heuristic_matches_reference(counts, seed):
+    table = MatchingTable(counts)
+    res = match_truematch_heuristic(table, np.random.default_rng(seed))
+    perm, tie_draws, draws, pair_order, pair_signed = reference_heuristic(table, np.random.default_rng(seed))
+    assert res.perm.tolist() == perm.tolist()
+    k = table.k
+    cells = k * (k + 1) * (2 * k + 1) // 6 - 1
+    assert res.seed_trace == {"tie_draws": tie_draws, "residual_cells": cells, "pair_draws": draws.tolist()}
+    assert res.pair_order.tobytes() == pair_order.tobytes()
+    assert res.pair_signed.tobytes() == pair_signed.tobytes()  # signed zeros included
+
+
+@st.composite
+def heuristic_tables(draw):
+    """K=2-9 tables from a few values (ties), with zeroed rows, columns and blocks."""
+    k = draw(st.integers(2, 9))
+    values = draw(st.sampled_from([(0, 1), (0, 1, 2), (0, 3, 7), (0, 1, 2, 50), (1, 4)]))
+    counts = np.array(draw(st.lists(st.sampled_from(values), min_size=k * k, max_size=k * k)))
+    counts = counts.reshape(k, k)
+    counts[draw(st.lists(st.integers(0, k - 1), max_size=k // 2))] = 0
+    counts[:, draw(st.lists(st.integers(0, k - 1), max_size=k // 2))] = 0
+    if draw(st.booleans()):  # a zero block: the subtables left once its complement is used up
+        cut = draw(st.integers(1, k - 1))
+        counts[cut:, cut:] = 0
+    assume(counts.sum() > 0)
+    return counts
+
+
 class TestHeuristic:
     def test_missed_outliers_same_two_outcomes(self):
         rng = np.random.default_rng(29)
@@ -362,6 +419,18 @@ class TestHeuristic:
         table = MatchingTable(np.eye(5, dtype=int))
         res = match_truematch_heuristic(table, np.random.default_rng(6))
         assert res.perm.tolist() == [1, 2, 3, 4, 5]
+
+    @settings(max_examples=400, deadline=None)
+    @given(heuristic_tables(), st.integers(0, 2**32 - 1))
+    def test_equals_per_subtable_reference(self, counts, seed):
+        assert_heuristic_matches_reference(counts, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sparse_k120_equals_per_subtable_reference(self, seed):
+        # 700 cases on 120 labels, rows 111-120 empty: ties, empty rows and columns
+        rng = np.random.default_rng(120)
+        a, b = rng.integers(1, 111, 700), rng.integers(1, 121, 700)
+        assert_heuristic_matches_reference(crosstab(a, b, 120).counts, seed)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 9])
     def test_residual_recomputation_count(self, k):
