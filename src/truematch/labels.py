@@ -39,7 +39,7 @@ class LabelVector:
 
     ``n_clusters`` may exceed the number of labels actually present: a
     vector canonicalized against a partner with more clusters keeps the
-    larger label space so that downstream tables stay square.  ``labels`` is a read-only copy.
+    larger label space so that downstream tables stay square.  ``labels`` is a read-only copy, checked once.
     """
 
     labels: np.ndarray
@@ -52,6 +52,9 @@ class LabelVector:
 
     def __len__(self) -> int:
         return int(self.labels.size)
+
+    def __reduce__(self):
+        return LabelVector, (self.labels, self.n_clusters)  # copies rebuild through the checks
 
 
 def _whole(value, name: str, ndim: int, low: int | None = None):
@@ -84,7 +87,10 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 def _label_array(v, k: int | None = None, name: str = "labels") -> np.ndarray:
-    """Labels of ``v`` as a non-empty 1-D int64 array, in 1..k if ``k`` is given."""
+    """Labels of ``v`` as a non-empty 1-D int64 array, in 1..k if ``k`` is given.
+    A ``LabelVector`` within 1..k was checked when it was made; its labels come back as they are."""
+    if type(v) is LabelVector and (k is None or v.n_clusters <= k):
+        return v.labels
     labels = _whole(getattr(v, "labels", v), name, 1)
     if labels.size == 0:
         raise ValueError(f"{name} must be non-empty")
@@ -110,22 +116,24 @@ def parse_labels(source) -> tuple[LabelVector, dict[str, int]]:
     """
     if hasattr(source, "read"):
         source = source.read()
-    tokens = [raw.strip() for raw in source.split("\n")]
-    while tokens and tokens[-1] == "":
-        tokens.pop()
-    if not tokens:
+    lines = source.split("\n")
+    while lines and not lines[-1].strip():
+        lines.pop()
+    if not lines:
         raise LabelParseError("empty label stream")
-    if "" in tokens:
-        lineno = tokens.index("") + 1
+    body = lines[1:] if lines[0].strip() == HEADER_TOKEN else lines
+    # strip each distinct line once; the earliest line of a token comes first
+    codes = {raw: raw.strip() for raw in dict.fromkeys(body)}
+    if "" in codes.values():
+        lineno = next(i for i, raw in enumerate(lines, start=1) if not raw.strip())
         raise LabelParseError(f"blank line {lineno} inside label stream", line=lineno)
-
-    if tokens[0] == HEADER_TOKEN:
-        tokens = tokens[1:]
-    if not tokens:
+    if not body:
         raise LabelParseError("label stream holds a header but no labels")
 
-    mapping = {tok: i for i, tok in enumerate(dict.fromkeys(tokens), start=1)}
-    out = np.fromiter(map(mapping.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    mapping: dict[str, int] = {}
+    for raw, tok in codes.items():
+        codes[raw] = mapping.setdefault(tok, len(mapping) + 1)
+    out = np.fromiter(map(codes.__getitem__, body), dtype=np.int64, count=len(body))
     return _trusted(LabelVector, labels=_readonly(out), n_clusters=len(mapping)), mapping
 
 

@@ -83,9 +83,6 @@ class MatchResult:
     perm : ndarray
         Column relabeling aligning the second (column) labeling to the
         first: column label c is renamed to ``perm[c-1]``.
-    residuals : ResidualMatrix
-        Signed chi-squared residuals of the full input table, as the
-        matcher computed them.
     seed_trace : dict
         Random draws consumed while matching (shuffles, tie draws), for
         reproducibility audits.
@@ -93,9 +90,12 @@ class MatchResult:
         The input table, and the 0-based column matched to each row.
     pair_draws : ndarray
         Uniform draw of each row's pair; it breaks exact ties in both orders.
-    pair_order, pair_signed : ndarray
-        0-based rows in the order ``pairs`` reports them, and the signed
-        residual reported for each row's pair.
+    pair_order : ndarray
+        0-based rows in the order ``pairs`` reports them.
+    residuals : ResidualMatrix, on read
+        Signed chi-squared residuals of the full input table, computed once per table.
+    pair_signed : ndarray, on read
+        Signed residual reported for each row's pair: the full table's, or the heuristic's selection-time value.
     pairs : tuple of MatchedPair, on read
         Matched (row, column) pairs with the signed residual and raw
         count of each matched cell.  For the residual-based matchers
@@ -114,13 +114,19 @@ class MatchResult:
 
     method: str
     perm: np.ndarray
-    residuals: ResidualMatrix
     seed_trace: dict
     table: MatchingTable
     row_to_col: np.ndarray
     pair_draws: np.ndarray
     pair_order: np.ndarray
-    pair_signed: np.ndarray
+
+    @cached_property
+    def residuals(self) -> ResidualMatrix:
+        return residuals(self.table)
+
+    @cached_property
+    def pair_signed(self) -> np.ndarray:
+        return self.residuals.signed[np.arange(self.table.k), self.row_to_col]
 
     @cached_property
     def row_order(self) -> np.ndarray:
@@ -146,9 +152,7 @@ class MatchResult:
         )
 
 
-def _match_by_assignment(
-    method: str, table: MatchingTable, res: ResidualMatrix, score: np.ndarray, rng: np.random.Generator
-) -> MatchResult:
+def _match_by_assignment(method: str, table: MatchingTable, score: np.ndarray, rng: np.random.Generator) -> MatchResult:
     k = table.k
     row_shuffle = rng.permutation(k)
     col_shuffle = rng.permutation(k)
@@ -170,8 +174,7 @@ def _match_by_assignment(
     # pairs are reported by the score the assignment maximized, ties by draw
     rows = np.arange(k)
     pair_order = np.lexsort((draws, -score[rows, row_to_col]))
-    signed = res.signed[rows, row_to_col]
-    return MatchResult(method, perm, res, trace, table, row_to_col, draws, pair_order, signed)
+    return MatchResult(method, perm, trace, table, row_to_col, draws, pair_order)
 
 
 def match_tracemax(table: MatchingTable, rng: np.random.Generator) -> MatchResult:
@@ -181,15 +184,16 @@ def match_tracemax(table: MatchingTable, rng: np.random.Generator) -> MatchResul
     equivariantly, so fully symmetric tables, and every tied 2x2 table,
     match each orientation with equal probability.
     """
-    return _match_by_assignment(TRACEMAX, table, residuals(table), table.counts.astype(float), rng)
+    if table.total < 1:
+        raise ValueError("table must contain at least one observation")
+    return _match_by_assignment(TRACEMAX, table, table.counts.astype(float), rng)
 
 
 def match_truematch(table: MatchingTable, rng: np.random.Generator) -> MatchResult:
     """Residual matching: shuffle, transform counts to signed residuals,
     maximize the residual trace exactly, order pairs by residual with
     random tie-break."""
-    res = residuals(table)
-    return _match_by_assignment(TRUEMATCH, table, res, res.signed, rng)
+    return _match_by_assignment(TRUEMATCH, table, residuals(table).signed, rng)
 
 
 def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) -> MatchResult:
@@ -201,14 +205,13 @@ def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) ->
     The final remaining row/column pair is matched directly.
     """
     k = table.k
-    full = residuals(table)
     live_rows, live_cols = list(range(k)), list(range(k))
     row_to_col = np.empty(k, dtype=np.int64)
     # pairs are reported in selection order with the selection-time residual
     pair_order = np.empty(k, dtype=np.int64)
     sel_signed = np.zeros(k)
     tie_draws: list[int] = []
-    sub, signed = table.counts, full.signed
+    sub, signed = table.counts, residuals(table).signed
     if k > 2:
         # The live n x n subtable is cf[:n, :n] with margins rs[:n], cs[:n].  Floats hold
         # integers below 2**53 exactly, so d * |d| / E is bit for bit residuals()' value.
@@ -249,7 +252,9 @@ def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) ->
     trace = {"tie_draws": tie_draws, "residual_cells": k * (k + 1) * (2 * k + 1) // 6 - 1}
     draws = rng.uniform(size=k)
     trace["pair_draws"] = draws.tolist()
-    return MatchResult(TRUEMATCH_HEURISTIC, perm, full, trace, table, row_to_col, draws, pair_order, sel_signed)
+    result = MatchResult(TRUEMATCH_HEURISTIC, perm, trace, table, row_to_col, draws, pair_order)
+    result.__dict__["pair_signed"] = sel_signed  # reported as selected, not read from the full table
+    return result
 
 
 MATCHERS: dict[str, Callable[[MatchingTable, np.random.Generator], MatchResult]] = {

@@ -116,10 +116,10 @@ def majority_labels(votes, rng: np.random.Generator) -> LabelVector:
         raise ValueError("votes must be a non-empty 2-D matrix")
     # numpy reduces along a short last axis one row at a time, so reduce
     # down the rows of the K x N transpose instead
-    columns = np.ascontiguousarray(v.T)
-    if (columns.sum(axis=0) == 0).any():
+    most = np.ascontiguousarray(v.T).max(axis=0)
+    if not most.all():  # votes are >= 0, so only a row without votes has maximum 0
         raise ValueError("majority undefined: some rows hold no votes")
-    top = v == columns.max(axis=0)[:, None]
+    top = v == most[:, None]
     draw = rng.uniform(size=v.shape)
     labels = np.where(top, draw, -1.0).argmax(axis=1) + 1
     return _trusted(LabelVector, labels=_readonly(labels.astype(np.int64)), n_clusters=v.shape[1])

@@ -159,7 +159,7 @@ def simulate_cell(cfg: SimulationConfig) -> CellResult:
     final majority assignment using fewer than two labels.
     """
     rng = np.random.default_rng(cfg.seed)
-    truth = build_truth(cfg.n_cases, cfg.p)
+    truth = _trusted(LabelVector, labels=_readonly(build_truth(cfg.n_cases, cfg.p)), n_clusters=2)
     n = cfg.n_cases
     match_fn = resolve_matcher(cfg.matcher)
     heavy = int(round(cfg.p * n))
@@ -170,25 +170,26 @@ def simulate_cell(cfg: SimulationConfig) -> CellResult:
     while accepted < cfg.rounds:
         for _ in range(REDRAW_BUDGET):
             picks = rng.integers(0, n, size=n)
-            in_bag = np.unique(picks)
-            judged_all = fictitious_cluster(truth, cfg.kappa, rng, p=cfg.p).labels
+            in_bag = np.bincount(picks, minlength=n).nonzero()[0]  # np.unique(picks), without a sort
+            judged = fictitious_cluster(truth, cfg.kappa, rng, p=cfg.p)
             if cfg.fixed:
-                judged_all = enforce_sizes(judged_all, size_target, rng).labels
-            judged_bag = judged_all[in_bag]
+                judged = enforce_sizes(judged, size_target, rng)
+            judged_bag = judged.labels[in_bag]
             if judged_bag.min() == judged_bag.max():
                 continue
             if accepted == 0:
-                aligned = judged_all
+                aligned = judged.labels
                 break
             has_votes = votes[in_bag].sum(axis=1) > 0
             if not has_votes.any():
                 continue
             ref_cases = in_bag[has_votes]
-            ref_labels = majority_labels(votes[ref_cases], rng).labels
-            if ref_labels.min() == ref_labels.max():
+            ref = majority_labels(votes[ref_cases], rng)
+            if ref.labels.min() == ref.labels.max():
                 continue
-            table = crosstab(ref_labels, judged_all[ref_cases], k=2)
-            aligned = match_fn(table, rng).perm[judged_all - 1]
+            judged_ref = _trusted(LabelVector, labels=_readonly(judged.labels[ref_cases]), n_clusters=2)
+            table = crosstab(ref, judged_ref, k=2)
+            aligned = match_fn(table, rng).perm[judged.labels - 1]
             break
         else:
             break  # redraw budget exhausted: the cell is starved

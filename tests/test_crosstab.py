@@ -24,6 +24,10 @@ CROSSTAB_MODULE = importlib.import_module("truematch.crosstab")
 OUTLIER_MATCHED = [[99, 0], [0, 1]]
 OUTLIER_MISSED = [[98, 1], [1, 0]]
 
+COPIERS = pytest.mark.parametrize(
+    "copier", [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))], ids=["copy", "deepcopy", "pickle"]
+)
+
 
 def square_count_tables(max_k=5, max_count=60):
     return (
@@ -274,8 +278,7 @@ class TestImmutableTable:
             with pytest.raises(ValueError, match="at least one observation"):
                 matcher(table, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))],
-                             ids=["copy", "deepcopy", "pickle"])
+    @COPIERS
     def test_copies_are_read_only_tables(self, copier):
         table = MatchingTable([[5, 1], [2, 4]])
         original = residuals(table)
@@ -283,3 +286,24 @@ class TestImmutableTable:
         assert not copied.counts.flags.writeable
         assert copied.counts.tolist() == [[5, 1], [2, 4]] and copied.total == 12
         assert same_bits(residuals(copied).signed, original.signed)
+
+    @COPIERS
+    def test_copies_are_read_only_label_vectors(self, copier):
+        vector = LabelVector([2, 1, 3, 1], 4)
+        copied = copier(vector)
+        assert not copied.labels.flags.writeable
+        assert copied.labels.dtype == np.int64
+        assert copied.labels.tolist() == [2, 1, 3, 1] and copied.n_clusters == 4
+
+    def test_tracemax_leaves_residuals_to_the_reader(self):
+        table = crosstab([1, 1, 2, 2, 2], [2, 2, 1, 1, 2])
+        result = match_tracemax(table, np.random.default_rng(0))
+        assert result.perm.tolist() == [2, 1]
+        assert "_residuals" not in table.__dict__
+        assert result.residuals is residuals(table)
+        assert result.pair_signed.tolist() == residuals(table).signed[[0, 1], result.row_to_col].tolist()
+
+    def test_truematch_computes_residuals_to_match(self):
+        table = crosstab([1, 1, 2, 2, 2], [2, 2, 1, 1, 2])
+        match_truematch(table, np.random.default_rng(0))
+        assert "_residuals" in table.__dict__

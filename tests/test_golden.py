@@ -78,6 +78,14 @@ for _m in ("tracemax", "truematch-heuristic"):
         _out(f"simulate-grid-{_m}"),
     )
 
+# the grid combinations above leave out, in the benchmark's shape (300 rounds, 100 cases)
+for _m, _mode in (("tracemax", "--non-fixed"), ("truematch", "--fixed")):
+    CASES[f"simulate-grid-{_m}{_mode[1:]}"] = (
+        ["simulate", "--scenario", "grid", "--p-grid", "0.7,0.9", "--kappa-grid", "0.5",
+         "--rounds", "300", "--n-cases", "100", _mode, "--matcher", _m, "--seed", "11"],
+        _out(f"simulate-grid-{_m}{_mode[1:]}"),
+    )
+
 
 def run_case(name, out_dir: Path) -> list[tuple[str, bytes]]:
     """Invoke case ``name`` with its outputs written under ``out_dir``;

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from truematch import (
     LabelParseError,
@@ -20,7 +22,48 @@ from truematch import (
 )
 
 
+def reference_parse_labels(source: str):
+    """The parser that stripped every line in a list: (labels, mapping), or
+    (message, line) of the error it raised.  Kept as an oracle."""
+    tokens = [raw.strip() for raw in source.split("\n")]
+    while tokens and tokens[-1] == "":
+        tokens.pop()
+    if not tokens:
+        return "empty label stream", None
+    if "" in tokens:
+        lineno = tokens.index("") + 1
+        return f"blank line {lineno} inside label stream", lineno
+    if tokens[0] == "label":
+        tokens = tokens[1:]
+    if not tokens:
+        return "label stream holds a header but no labels", None
+    mapping = {tok: i for i, tok in enumerate(dict.fromkeys(tokens), start=1)}
+    return [mapping[tok] for tok in tokens], mapping
+
+
+_SPACE = st.sampled_from(["", " ", "\t", "\r", "  ", "\u3000"])
+_LINE = st.builds("".join, st.tuples(_SPACE, st.sampled_from(["a", "b", "label", "x y", "1", ""]), _SPACE))
+
+
 class TestParseLabels:
+    @settings(max_examples=400, deadline=None)
+    @given(st.booleans(), st.lists(_LINE, max_size=12), st.lists(_SPACE, max_size=3))
+    def test_matches_the_list_parser(self, header, lines, trailing):
+        source = "\n".join(([" label\t"] if header else []) + lines + trailing)
+        expected = reference_parse_labels(source)
+        try:
+            vec, mapping = parse_labels(source)
+        except LabelParseError as err:
+            assert (str(err), err.line) == expected
+        else:
+            assert (vec.labels.tolist(), mapping) == expected
+            assert list(mapping) == list(expected[1]) and vec.n_clusters == len(mapping)
+
+    def test_later_label_token_keeps_its_rank(self):
+        vec, mapping = parse_labels("label\nb\n label\nb \nlabel")
+        assert vec.labels.tolist() == [1, 2, 1, 2]
+        assert mapping == {"b": 1, "label": 2}
+
     def test_first_appearance_mapping(self):
         vec, mapping = parse_labels("a\nb\na")
         assert vec.labels.tolist() == [1, 2, 1]

@@ -4,6 +4,7 @@ import pytest
 import truematch.simulate
 
 from truematch import (
+    LabelVector,
     MatchingTable,
     OutlierScenarioResult,
     SimulationConfig,
@@ -117,6 +118,30 @@ class TestSimulateCell:
         assert np.isnan([cell.uncertainty, cell.information, cell.cic]).all()
         assert cell.degenerate is True
         assert (cell.p, cell.kappa, cell.fixed, cell.matcher, cell.seed) == (0.7, 0.5, True, "tracemax", 4)
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["non-fixed", "fixed"])
+    def test_rounds_reach_the_traced_module_names(self, monkeypatch, fixed):
+        # perfbench's per-layer tracer wraps these names of truematch.simulate
+        calls = {name: [] for name in ("fictitious_cluster", "enforce_sizes", "crosstab", "majority_labels")}
+        for name, record in calls.items():
+            def counted(*args, _fn=getattr(truematch.simulate, name), _record=record, **kwargs):
+                _record.append(args)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(truematch.simulate, name, counted)
+        rounds = 40
+        cell = simulate_cell(SimulationConfig(p=0.7, kappa=0.5, rounds=rounds, fixed=fixed, seed=3))
+        assert not cell.degenerate
+        judged = len(calls["fictitious_cluster"])
+        assert judged >= rounds
+        assert len(calls["enforce_sizes"]) == (judged if fixed else 0)
+        assert len(calls["crosstab"]) == rounds - 1  # every accepted round after the first
+        # a reference for each accepted round after the first, the final majority, and redrawn rounds
+        assert rounds <= len(calls["majority_labels"]) <= judged + 1
+        # the loop hands them checked vectors, which they take as they are
+        handed = [args[0] for args in calls["fictitious_cluster"] + calls["enforce_sizes"]]
+        handed += [vector for args in calls["crosstab"] for vector in args]
+        assert handed and all(type(vector) is LabelVector for vector in handed)
 
     def test_random_clusterer_uncertain_both_matchers(self):
         cells = {
