@@ -90,6 +90,12 @@ def _bracket(items: list, nl: str, fmt: list[str] | None = None) -> str:
     return "[" + inner + (sep.join(items) if fmt is None else sep.join(fmt) % tuple(items)) + nl + "]"
 
 
+def _csv_text(matrix: np.ndarray) -> str:
+    """A float matrix as CSV lines of ``"%.6g"`` values, by one ``%`` format over the whole matrix."""
+    row = ",".join(["%.6g"] * matrix.shape[1])
+    return ("\n".join([row] * matrix.shape[0]) + "\n") % tuple(matrix.ravel().tolist())
+
+
 def _emit_json(payload: dict, out_path: str | None) -> None:
     _emit_text(_json_text(payload) + "\n", out_path)
 
@@ -271,8 +277,7 @@ def mmcc(data_csv, k, rounds, matcher, seed, probs_out, stats_out):
         rng = np.random.default_rng(seed)
         votes, probs = mmcc_run(data, k, lloyd_base_clusterer(), matcher, rounds, rng)
         stats = cic_stats(probs)
-        lines = [",".join(map("{:.6g}".format, row)) for row in probs.probs.tolist()]
-        _emit_text("\n".join(lines) + "\n", probs_out)
+        _emit_text(_csv_text(probs.probs), probs_out)
         payload = {
             "H": stats.uncertainty,
             "RMC": stats.complexity,

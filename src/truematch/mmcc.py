@@ -218,7 +218,10 @@ class LloydClusterer:
 
     ``fit`` runs Lloyd iterations on the resampled rows, starting from k
     distinct points drawn from the resample; ``predict`` assigns every
-    case to its nearest centroid.  Data must be finite.
+    case to its nearest centroid.  Data must be finite.  Each iteration measures
+    distances for the distinct in-bag rows only, copies their owners to the resample's
+    rows and sums those in resample order; a repeated assignment ends the fit, as its
+    update would reproduce the centroids exactly.
     """
 
     def __init__(self, iterations: int = 25):
@@ -242,7 +245,8 @@ class LloydClusterer:
             raise ValueError(f"resample_indices must be < {pts.shape[0]}, got {picks.max()}")
         in_bag = np.zeros(pts.shape[0], dtype=bool)
         in_bag[picks] = True
-        distinct = _distinct_rows(pts[in_bag])
+        bag = pts[in_bag]
+        distinct = _distinct_rows(bag)
         if distinct.shape[0] < k:
             available = _distinct_rows(pts).shape[0]
             if available < k:
@@ -251,10 +255,16 @@ class LloydClusterer:
                 f"resample holds only {distinct.shape[0]} distinct points, need k={k}"
             )
         centroids = distinct[rng.choice(distinct.shape[0], size=k, replace=False)]
-        sample = pts[picks]
-        sample_t = np.ascontiguousarray(sample.T)
+        bag_t = np.ascontiguousarray(bag.T)
+        sample_t = np.ascontiguousarray(pts[picks].T)
+        slot = (np.cumsum(in_bag) - 1)[picks]  # each sample row's place in ``bag``
+        bag_owner = None
         for _ in range(self.iterations):
-            owner = _nearest(sample, sample_t, centroids)
+            nearest = _nearest(bag, bag_t, centroids)
+            if bag_owner is not None and (nearest == bag_owner).all():
+                break
+            bag_owner = nearest
+            owner = nearest[slot]
             counts = np.bincount(owner, minlength=k)
             sums = _cluster_sums(sample_t, owner, k)
             filled = counts > 0
@@ -268,7 +278,8 @@ class LloydClusterer:
 
     def predict(self, model: np.ndarray, data) -> LabelVector:
         pts = self._as_points(data)
-        return LabelVector(_nearest(pts, np.ascontiguousarray(pts.T), model) + 1, model.shape[0])
+        labels = _nearest(pts, np.ascontiguousarray(pts.T), model) + 1
+        return _trusted(LabelVector, labels=_readonly(labels), n_clusters=model.shape[0])
 
 
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
@@ -316,12 +327,15 @@ def _squared_distances(points: np.ndarray, points_t: np.ndarray,
 
 
 def _cluster_sums(sample_t: np.ndarray, owner: np.ndarray, k: int) -> np.ndarray:
-    """(k, d) coordinate sums per cluster, added in the order
-    ``sample[owner == j].mean(axis=0)`` adds them: row after row, as
-    ``bincount`` does, except that numpy sums a single column pairwise."""
+    """(k, d) coordinate sums per cluster over all sample rows, repeats included, added in
+    the order ``sample[owner == j].mean(axis=0)`` adds them: row after row, as the d
+    ``bincount``s into one array do, except that numpy sums a single column pairwise."""
     if sample_t.shape[0] == 1:
         return np.array([[sample_t[0, owner == j].sum()] for j in range(k)])
-    return np.stack([np.bincount(owner, weights=col, minlength=k) for col in sample_t], axis=1)
+    sums = np.empty((sample_t.shape[0], k))
+    for col, row in zip(sample_t, sums):
+        row[:] = np.bincount(owner, weights=col, minlength=k)
+    return sums.T
 
 
 def lloyd_base_clusterer(iterations: int = 25) -> LloydClusterer:

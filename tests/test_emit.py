@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from truematch import crosstab, resolve_matcher
-from truematch.cli import _json_text, main
+from truematch.cli import _csv_text, _json_text, main
 
 
 def _round6(value):
@@ -148,3 +148,31 @@ def test_k400_match_payload(tmp_path):
             "chi2": res.residuals.chi2,
         }
         assert out.read_text(encoding="utf-8") == reference(payload) + "\n", method
+
+
+def csv_reference(matrix) -> str:
+    """The probs CSV as the ``mmcc`` command wrote it before: one
+    ``"{:.6g}".format`` call per value."""
+    lines = [",".join(map("{:.6g}".format, row)) for row in np.asarray(matrix).tolist()]
+    return "\n".join(lines) + "\n"
+
+
+class TestProbsCsv:
+    EDGE = [0.0, 1.0, 1 / 3, 2 / 3, 1e-5, 1.5e-7, 0.9999995, 1 - 1e-12]
+
+    @pytest.mark.parametrize("shape", [(8, 1), (1, 8), (2, 4), (4, 2)])
+    def test_edge_values_equal_reference(self, shape):
+        # K=1 writes no comma, N=1 one line
+        matrix = np.reshape(self.EDGE, shape)
+        assert _csv_text(matrix) == csv_reference(matrix)
+        assert _csv_text(matrix[::-1]) == csv_reference(matrix[::-1])
+
+    def test_single_cell(self):
+        for value in self.EDGE:
+            assert _csv_text(np.array([[value]])) == csv_reference([[value]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
+                      elements=st.floats(0.0, 1.0)))
+    def test_probabilities_equal_reference(self, matrix):
+        assert _csv_text(matrix) == csv_reference(matrix)

@@ -290,29 +290,63 @@ def _equivalence_data(kind, d, rng):
     return data[:, 0] if d == 1 and rng.random() < 0.5 else data
 
 
+def _assert_same_fit(data, picks, k, seed, iterations=25):
+    """The bundled fit and the reference give the same centroids, generator
+    state and predicted labels."""
+    fast, slow = lloyd_base_clusterer(iterations), _ReferenceLloyd(iterations)
+    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    model = fast.fit(data, picks, k, fast_rng)
+    expected = slow.fit(data, picks, k, slow_rng)
+    assert np.array_equal(model, expected)
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+    assert np.array_equal(fast.predict(model, data).labels, slow.predict(expected, data).labels)
+
+
 class TestLloydEquivalence:
     # d < 8 and d >= 8 sum squared distances in different orders inside
-    # numpy; d = 1 sums centroid coordinates pairwise
+    # numpy; d = 1 sums centroid coordinates pairwise.  Iteration caps of
+    # 1-3 stop most fits unconverged.
+    KINDS = ["continuous", "far from origin", "integer grid", "rounded"]
+
     @pytest.mark.parametrize("d", [1, 4, 8, 9, 10, 11, 12])
-    @pytest.mark.parametrize("kind", ["continuous", "far from origin", "integer grid", "rounded"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_matches_reference(self, d, kind):
-        rng = np.random.default_rng([d, len(kind)])
-        fast, slow = lloyd_base_clusterer(), _ReferenceLloyd()
+        self._check_kind(d, kind, 25, np.random.default_rng([d, len(kind)]))
+
+    @pytest.mark.parametrize("d", [1, 4, 8, 12])
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    def test_matches_reference_when_capped(self, d, kind, iterations):
+        self._check_kind(d, kind, iterations, np.random.default_rng([d, len(kind), iterations]))
+
+    @staticmethod
+    def _check_kind(d, kind, iterations, rng):
         for _ in range(8):
             data = _equivalence_data(kind, d, rng)
             n = data.shape[0]
             picks = rng.integers(0, n, n)
-            points = data.reshape(n, -1)
-            available = np.unique(points[picks], axis=0).shape[0]
+            available = np.unique(data.reshape(n, -1)[picks], axis=0).shape[0]
             for k in sorted({1, min(3, available), available}):
-                seed = int(rng.integers(2**32))
-                fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                model = fast.fit(data, picks, k, fast_rng)
-                expected = slow.fit(data, picks, k, slow_rng)
-                assert np.array_equal(model, expected)
-                assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
-                assert np.array_equal(fast.predict(model, data).labels,
-                                      slow.predict(expected, data).labels)
+                _assert_same_fit(data, picks, k, int(rng.integers(2**32)), iterations)
+
+    @pytest.mark.parametrize("d", [1, 4, 8, 12])
+    @pytest.mark.parametrize("iterations", [1, 2, 3, 25])
+    def test_matches_reference_on_concentrated_resamples(self, d, iterations):
+        # small data with repeated rows, resampled from a few of its rows,
+        # so most sample rows repeat an in-bag row; k runs up to the number
+        # of distinct in-bag points
+        rng = np.random.default_rng([d, iterations, 12])
+        for _ in range(30):
+            n = int(rng.integers(2, 13))
+            pool = np.round(rng.normal(size=(int(rng.integers(1, n + 1)), d)), 1)
+            data = pool[rng.integers(0, len(pool), n)]
+            hot = rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False)
+            picks = hot[rng.integers(0, len(hot), n)]
+            available = np.unique(data[picks], axis=0).shape[0]
+            if d == 1 and rng.random() < 0.5:
+                data = data[:, 0]
+            for k in range(1, available + 1):
+                _assert_same_fit(data, picks, k, int(rng.integers(2**32)), iterations)
 
     @pytest.mark.parametrize("d", range(1, 17))
     def test_squared_distances_sum_in_numpy_order(self, d):
