@@ -33,12 +33,12 @@ def run(name, clusterer, matcher, seed):
 
 print(f"{'scenario':34s} {'matcher':10s} entropy summary")
 print("-" * 78)
-run("single cluster (K=1)", tm.random_clusterer([1.0]), "truematch", 1)
-run("justified 50:50", tm.true_class_clusterer(truth, np.eye(2)), "truematch", 2)
-run("random 50:50", tm.random_clusterer([0.5, 0.5]), "truematch", 3)
+run("single cluster (K=1)", tm.FictitiousClusterer([[1.0]]), "truematch", 1)
+run("justified 50:50", tm.FictitiousClusterer(np.eye(2), true_classes=truth), "truematch", 2)
+run("random 50:50", tm.FictitiousClusterer([[0.5, 0.5]]), "truematch", 3)
 print()
-run("random 99:1", tm.random_clusterer([0.99, 0.01]), "truematch", 4)
-run("random 99:1", tm.random_clusterer([0.99, 0.01]), "tracemax", 5)
+run("random 99:1", tm.FictitiousClusterer([[0.99, 0.01]]), "truematch", 4)
+run("random 99:1", tm.FictitiousClusterer([[0.99, 0.01]]), "tracemax", 5)
 
 print("""
 The headline contrast is the random 99:1 pair of rows.  Under the
@@ -58,7 +58,7 @@ blobs = np.r_[rng.normal(0.0, 0.4, 50), rng.normal(8.0, 0.4, 50)]
 flat = rng.uniform(0.0, 1.0, 100)
 for name, points in (("two separated blobs", blobs), ("uniform noise", flat)):
     run_rng = np.random.default_rng(12)
-    _, probs = tm.mmcc_run(points, 2, tm.lloyd_base_clusterer(), "truematch", 300, run_rng)
+    _, probs = tm.mmcc_run(points, 2, tm.LloydClusterer(), "truematch", 300, run_rng)
     s = tm.cic_stats(probs)
     print(f"{name:34s} {'truematch':10s} H={s.uncertainty:5.3f} CIC={s.cic:7.3f}")
 

@@ -26,9 +26,7 @@ __all__ = [
     "solve_assignment",
     "brute_force_assignment",
     "assignment_value",
-    "identity_permutation",
     "inverse_permutation",
-    "is_permutation",
 ]
 
 _SENSES = ("minimize", "maximize")
@@ -111,18 +109,6 @@ def assignment_value(score, perm) -> float:
     return float(score[np.arange(score.shape[0]), perm - 1].sum())
 
 
-def identity_permutation(k: int) -> np.ndarray:
-    return np.arange(1, k + 1, dtype=np.int64)
-
-
 def inverse_permutation(perm) -> np.ndarray:
     """Inverse of a 1-based permutation; ``ValueError`` unless it holds each of 1..K once."""
     return np.argsort(_perm_array(perm)) + 1
-
-
-def is_permutation(perm) -> bool:
-    try:
-        _perm_array(perm)
-    except ValueError:
-        return False
-    return True

@@ -21,7 +21,7 @@ from .agreement import adjusted_rand, cohen_kappa, diagonal_fraction, rand_index
 from .crosstab import crosstab, residuals  # noqa: F401
 from .labels import LabelParseError, canonical_pair, parse_labels
 from .matching import MATCHERS, resolve_matcher
-from .mmcc import cic_stats, lloyd_base_clusterer, mmcc_run
+from .mmcc import MAX_MAGNITUDE, LloydClusterer, cic_stats, mmcc_run
 from .simulate import SimulationConfig, grid_sweep, outlier_scenario
 
 DEFAULT_SEED = 0
@@ -164,10 +164,10 @@ def _load_matrix_csv(path: str) -> np.ndarray:
         # numpy's row numbers count from the first data row, not the top of the file
         located = _first_bad_line(rows)
         raise click.ClickException(f"{path}:{located}" if located else f"{path}: {err}") from err
-    bad_rows = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    bad_rows = np.flatnonzero(~(np.abs(data) <= MAX_MAGNITUDE).all(axis=1))  # NaN compares false
     if bad_rows.size:
         line, _ = rows[bad_rows[0]]
-        raise click.ClickException(f"{path}:{line}: non-finite value (nan or inf)")
+        raise click.ClickException(f"{path}:{line}: value not finite or beyond ±{MAX_MAGNITUDE:g}")
     return data
 
 
@@ -275,7 +275,7 @@ def mmcc(data_csv, k, rounds, matcher, seed, probs_out, stats_out):
     with _Guard():
         data = _load_matrix_csv(data_csv)
         rng = np.random.default_rng(seed)
-        votes, probs = mmcc_run(data, k, lloyd_base_clusterer(), matcher, rounds, rng)
+        votes, probs = mmcc_run(data, k, LloydClusterer(), matcher, rounds, rng)
         stats = cic_stats(probs)
         _emit_text(_csv_text(probs.probs), probs_out)
         payload = {
@@ -347,7 +347,7 @@ def simulate(scenario, matcher, seed, runs, p_grid, kappa_grid, rounds, fixed, n
 
 def _parse_grid(raw: str, name: str) -> list[float]:
     try:
-        values = [float(tok) for tok in raw.split(",") if tok.strip() != ""]
+        values = [float(tok) + 0.0 for tok in raw.split(",") if tok.strip() != ""]  # -0 becomes 0
     except ValueError as err:
         raise click.ClickException(f"bad --{name}-grid {raw!r}: {err}") from err
     if not values:

@@ -64,7 +64,7 @@ class MatchingTable:
         positive = expected > 0.0
         dev = np.where(positive, diff * diff / np.where(positive, expected, 1.0), 0.0)
         signed = np.sign(diff) * dev
-        return ResidualMatrix(expected=_readonly(expected), dev=_readonly(dev), signed=_readonly(signed))
+        return _trusted(ResidualMatrix, expected=expected, dev=dev, signed=signed)
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ def crosstab(a, b, k: int | None = None) -> MatchingTable:
     if la.size != lb.size:
         raise ValueError(f"labelings must be equal length, got {la.size} vs {lb.size}")
     counts = np.bincount((la - 1) * k + (lb - 1), minlength=k * k).reshape(k, k)
-    return _trusted(MatchingTable, counts=_readonly(counts))
+    return _trusted(MatchingTable, counts=counts)
 
 
 def residuals(table: MatchingTable) -> ResidualMatrix:

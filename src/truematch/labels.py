@@ -16,8 +16,6 @@ __all__ = [
     "LabelVector",
     "LabelParseError",
     "parse_labels",
-    "serialize_labels",
-    "mapping_csv",
     "canonical_pair",
     "apply_permutation",
 ]
@@ -74,7 +72,11 @@ def _whole(value, name: str, ndim: int, low: int | None = None):
 
 
 def _trusted(cls, **fields):
-    """``cls(**fields)`` without its checks, for values the library has just built valid."""
+    """``cls(**fields)`` without its checks, for values the library has just built valid.
+    Each array field is a fresh array no caller holds; it is made read-only."""
+    for field in fields.values():
+        if isinstance(field, np.ndarray):
+            field.flags.writeable = False
     value = object.__new__(cls)
     value.__dict__.update(fields)
     return value
@@ -134,22 +136,7 @@ def parse_labels(source) -> tuple[LabelVector, dict[str, int]]:
     for raw, tok in codes.items():
         codes[raw] = mapping.setdefault(tok, len(mapping) + 1)
     out = np.fromiter(map(codes.__getitem__, body), dtype=np.int64, count=len(body))
-    return _trusted(LabelVector, labels=_readonly(out), n_clusters=len(mapping)), mapping
-
-
-def serialize_labels(vector: LabelVector, header: bool = True) -> str:
-    """Render a vector in the one-label-per-line file format."""
-    body = "\n".join(str(x) for x in vector.labels)
-    if header:
-        return f"{HEADER_TOKEN}\n{body}\n"
-    return body + "\n"
-
-
-def mapping_csv(mapping: dict[str, int]) -> str:
-    """Two-column CSV (original,canonical) for a parse_labels mapping."""
-    rows = ["original,canonical"]
-    rows += [f"{name},{canon}" for name, canon in mapping.items()]
-    return "\n".join(rows) + "\n"
+    return _trusted(LabelVector, labels=out, n_clusters=len(mapping)), mapping
 
 
 def _compact(labels: np.ndarray) -> tuple[np.ndarray, int]:
@@ -169,7 +156,7 @@ def canonical_pair(a, b) -> tuple[LabelVector, LabelVector, int]:
     if la.size != lb.size:
         raise ValueError(f"length mismatch: {la.size} vs {lb.size}")
     (ca, ka), (cb, kb) = _compact(la), _compact(lb)
-    va, vb = (_trusted(LabelVector, labels=_readonly(c), n_clusters=max(ka, kb)) for c in (ca, cb))
+    va, vb = (_trusted(LabelVector, labels=c, n_clusters=max(ka, kb)) for c in (ca, cb))
     return va, vb, va.n_clusters
 
 

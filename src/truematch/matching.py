@@ -44,7 +44,7 @@ import numpy as np
 
 from .assignment import inverse_permutation, solve_assignment
 from .crosstab import MatchingTable, ResidualMatrix, residuals
-from .labels import _readonly, _trusted
+from .labels import _trusted
 
 __all__ = [
     "MatchResult",
@@ -142,7 +142,7 @@ class MatchResult:
     @cached_property
     def matched_table(self) -> MatchingTable:
         rows, cols = self.row_order - 1, self.col_order - 1
-        return _trusted(MatchingTable, counts=_readonly(self.table.counts[rows[:, None], cols]))
+        return _trusted(MatchingTable, counts=self.table.counts[rows[:, None], cols])
 
     @cached_property
     def pairs(self) -> tuple[MatchedPair, ...]:
@@ -284,4 +284,4 @@ def aligned_table(table: MatchingTable, perm) -> MatchingTable:
     colmap = inverse_permutation(perm) - 1
     if colmap.size != table.k:
         raise ValueError(f"perm must have {table.k} entries, got {colmap.size}")
-    return _trusted(MatchingTable, counts=_readonly(table.counts[:, colmap]))
+    return _trusted(MatchingTable, counts=table.counts[:, colmap])

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crosstab import crosstab
-from .labels import LabelVector, _label_array, _readonly, _trusted, _whole
+from .labels import LabelVector, _label_array, _trusted, _whole
 from .matching import resolve_matcher
 
 __all__ = [
@@ -40,11 +40,13 @@ __all__ = [
     "mmcc_run",
     "cic_stats",
     "LloydClusterer",
-    "lloyd_base_clusterer",
 ]
 
 
 REDRAW_BUDGET = 1000
+# the largest |coordinate| the Lloyd fit takes: a squared distance over d columns is then at
+# most d * (2e150)**2 = d * 4e300, finite (< 1.8e308) for any d < 4e7, as are centroid sums
+MAX_MAGNITUDE = 1e150
 
 
 class DegenerateResample(ValueError):
@@ -100,10 +102,7 @@ class CicStats:
 
 
 def _entropy_bits(p: np.ndarray, axis: int = -1) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
-    return -terms.sum(axis=axis)
+    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=axis)
 
 
 def majority_labels(votes, rng: np.random.Generator) -> LabelVector:
@@ -122,7 +121,7 @@ def majority_labels(votes, rng: np.random.Generator) -> LabelVector:
     top = v == most[:, None]
     draw = rng.uniform(size=v.shape)
     labels = np.where(top, draw, -1.0).argmax(axis=1) + 1
-    return _trusted(LabelVector, labels=_readonly(labels.astype(np.int64)), n_clusters=v.shape[1])
+    return _trusted(LabelVector, labels=labels.astype(np.int64), n_clusters=v.shape[1])
 
 
 def mmcc_run(
@@ -218,7 +217,7 @@ class LloydClusterer:
 
     ``fit`` runs Lloyd iterations on the resampled rows, starting from k
     distinct points drawn from the resample; ``predict`` assigns every
-    case to its nearest centroid.  Data must be finite.  Each iteration measures
+    case to its nearest centroid.  Coordinates must lie within ±``MAX_MAGNITUDE``.  Each iteration measures
     distances for the distinct in-bag rows only, copies their owners to the resample's
     rows and sums those in resample order; a repeated assignment ends the fit, as its
     update would reproduce the centroids exactly.
@@ -234,8 +233,8 @@ class LloydClusterer:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("data must be an (N, d) array of numeric features")
-        if not np.isfinite(pts).all():
-            raise ValueError("data must be finite")
+        if not (np.abs(pts) <= MAX_MAGNITUDE).all():  # NaN fails the comparison too
+            raise ValueError(f"data must be finite and within ±{MAX_MAGNITUDE:g}")
         return pts
 
     def fit(self, data, resample_indices, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -279,7 +278,7 @@ class LloydClusterer:
     def predict(self, model: np.ndarray, data) -> LabelVector:
         pts = self._as_points(data)
         labels = _nearest(pts, np.ascontiguousarray(pts.T), model) + 1
-        return _trusted(LabelVector, labels=_readonly(labels), n_clusters=model.shape[0])
+        return _trusted(LabelVector, labels=labels, n_clusters=model.shape[0])
 
 
 def _distinct_rows(rows: np.ndarray) -> np.ndarray:
@@ -336,8 +335,3 @@ def _cluster_sums(sample_t: np.ndarray, owner: np.ndarray, k: int) -> np.ndarray
     for col, row in zip(sample_t, sums):
         row[:] = np.bincount(owner, weights=col, minlength=k)
     return sums.T
-
-
-def lloyd_base_clusterer(iterations: int = 25) -> LloydClusterer:
-    """Factory for the bundled Lloyd base clusterer."""
-    return LloydClusterer(iterations=iterations)

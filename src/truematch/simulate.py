@@ -20,17 +20,15 @@ import numpy as np
 
 from .agreement import adjusted_rand, cohen_kappa, diagonal_fraction, rand_index
 from .crosstab import MatchingTable, crosstab
-from .labels import LabelVector, _label_array, _readonly, _trusted, _whole
+from .labels import LabelVector, _label_array, _trusted, _whole
 from .matching import resolve_matcher
-from .mmcc import REDRAW_BUDGET, CicStats, ProbMatrix, VoteMatrix, cic_stats, majority_labels
+from .mmcc import REDRAW_BUDGET, CicStats, ProbMatrix, cic_stats, majority_labels
 
 __all__ = [
     "SimulationConfig",
     "CellResult",
     "OutlierScenarioResult",
     "FictitiousClusterer",
-    "random_clusterer",
-    "true_class_clusterer",
     "fictitious_cluster",
     "enforce_sizes",
     "build_truth",
@@ -119,7 +117,7 @@ def fictitious_cluster(truth, kappa: float, rng: np.random.Generator, p: float |
         p = float((labels == 2).mean())
     keep = kappa + (1.0 - kappa) * np.where(labels == 1, 1.0 - p, p)
     stay = rng.uniform(size=labels.size) < keep
-    return _trusted(LabelVector, labels=_readonly(np.where(stay, labels, 3 - labels)), n_clusters=2)
+    return _trusted(LabelVector, labels=np.where(stay, labels, 3 - labels), n_clusters=2)
 
 
 def enforce_sizes(judged, target, rng: np.random.Generator) -> LabelVector:
@@ -140,7 +138,7 @@ def enforce_sizes(judged, target, rng: np.random.Generator) -> LabelVector:
     elif surplus_two < 0:
         movers = rng.choice(np.flatnonzero(labels == 1), size=-surplus_two, replace=False)
         labels[movers] = 2
-    return _trusted(LabelVector, labels=_readonly(labels), n_clusters=2)
+    return _trusted(LabelVector, labels=labels, n_clusters=2)
 
 
 def simulate_cell(cfg: SimulationConfig) -> CellResult:
@@ -159,7 +157,7 @@ def simulate_cell(cfg: SimulationConfig) -> CellResult:
     final majority assignment using fewer than two labels.
     """
     rng = np.random.default_rng(cfg.seed)
-    truth = _trusted(LabelVector, labels=_readonly(build_truth(cfg.n_cases, cfg.p)), n_clusters=2)
+    truth = _trusted(LabelVector, labels=build_truth(cfg.n_cases, cfg.p), n_clusters=2)
     n = cfg.n_cases
     match_fn = resolve_matcher(cfg.matcher)
     heavy = int(round(cfg.p * n))
@@ -187,7 +185,7 @@ def simulate_cell(cfg: SimulationConfig) -> CellResult:
             ref = majority_labels(votes[ref_cases], rng)
             if ref.labels.min() == ref.labels.max():
                 continue
-            judged_ref = _trusted(LabelVector, labels=_readonly(judged.labels[ref_cases]), n_clusters=2)
+            judged_ref = _trusted(LabelVector, labels=judged.labels[ref_cases], n_clusters=2)
             table = crosstab(ref, judged_ref, k=2)
             aligned = match_fn(table, rng).perm[judged.labels - 1]
             break
@@ -200,7 +198,7 @@ def simulate_cell(cfg: SimulationConfig) -> CellResult:
     if voted.any():
         active = votes[voted]
         stats = cic_stats(ProbMatrix(active / active.sum(axis=1, keepdims=True)))
-        final = majority_labels(VoteMatrix(active, accepted), rng)
+        final = majority_labels(active, rng)
         degenerate = accepted < cfg.rounds or np.unique(final.labels).size < 2
     else:
         stats = CicStats(*[float("nan")] * 4)
@@ -334,14 +332,3 @@ class FictitiousClusterer:
 
     def predict(self, model: np.ndarray, data) -> LabelVector:
         return LabelVector(model, self.k)
-
-
-def random_clusterer(proportions, shuffle_labels: bool = True) -> FictitiousClusterer:
-    """Clusterer that ignores the data: every case draws its cluster
-    independently from ``proportions``."""
-    return FictitiousClusterer([proportions], shuffle_labels=shuffle_labels)
-
-
-def true_class_clusterer(true_classes, class_probs, shuffle_labels: bool = True) -> FictitiousClusterer:
-    """Clusterer whose per-case behavior depends on a known true class."""
-    return FictitiousClusterer(class_probs, true_classes=true_classes, shuffle_labels=shuffle_labels)

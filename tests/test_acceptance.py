@@ -132,15 +132,15 @@ def test_criterion_6_vote_aggregation_contrast():
     start = time.perf_counter()
     truth = tm.build_truth(N_CASES, 0.5)
 
-    random_5050 = _mmcc_stats(tm.random_clusterer([0.5, 0.5]), "truematch", 1061)
-    random_991_tm = _mmcc_stats(tm.random_clusterer([0.99, 0.01]), "truematch", 1062)
-    random_991_trace = _mmcc_stats(tm.random_clusterer([0.99, 0.01]), "tracemax", 1063)
-    random_50491 = _mmcc_stats(tm.random_clusterer([0.5, 0.49, 0.01]), "truematch", 1064)
-    justified = _mmcc_stats(tm.true_class_clusterer(truth, np.eye(2)), "truematch", 1065)
+    random_5050 = _mmcc_stats(tm.FictitiousClusterer([[0.5, 0.5]]), "truematch", 1061)
+    random_991_tm = _mmcc_stats(tm.FictitiousClusterer([[0.99, 0.01]]), "truematch", 1062)
+    random_991_trace = _mmcc_stats(tm.FictitiousClusterer([[0.99, 0.01]]), "tracemax", 1063)
+    random_50491 = _mmcc_stats(tm.FictitiousClusterer([[0.5, 0.49, 0.01]]), "truematch", 1064)
+    justified = _mmcc_stats(tm.FictitiousClusterer(np.eye(2), true_classes=truth), "truematch", 1065)
     mixed = _mmcc_stats(
-        tm.true_class_clusterer(truth, [[1, 0, 0], [0, 0.98, 0.02]]), "truematch", 1066
+        tm.FictitiousClusterer([[1, 0, 0], [0, 0.98, 0.02]], true_classes=truth), "truematch", 1066
     )
-    single = _mmcc_stats(tm.random_clusterer([1.0]), "truematch", 1067)
+    single = _mmcc_stats(tm.FictitiousClusterer([[1.0]]), "truematch", 1067)
 
     a_ok = 0.90 <= random_5050.uncertainty <= 1.00 and 0.90 <= random_991_tm.uncertainty <= 1.05
     b_ok = (
@@ -325,7 +325,7 @@ def test_criterion_9_property_suites():
     for _ in range(20):
         k = int(rng.integers(1, 5))
         n = int(rng.integers(5, 40))
-        clusterer = tm.random_clusterer(np.full(k, 1.0 / k))
+        clusterer = tm.FictitiousClusterer([np.full(k, 1.0 / k)])
         _, probs = tm.mmcc_run(np.zeros(n), k, clusterer, "truematch", 20,
                                np.random.default_rng(int(rng.integers(2**32))))
         ok &= np.abs(probs.probs.sum(axis=1) - 1.0).max() <= 1e-9

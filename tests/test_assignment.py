@@ -11,9 +11,7 @@ import truematch
 from truematch import (
     assignment_value,
     brute_force_assignment,
-    identity_permutation,
     inverse_permutation,
-    is_permutation,
     solve_assignment,
 )
 
@@ -50,7 +48,7 @@ class TestSolveAssignment:
             for sense in ("minimize", "maximize"):
                 fast = solve_assignment(score, sense)
                 slow = brute_force_assignment(score, sense)
-                assert is_permutation(fast)
+                assert sorted(fast.tolist()) == list(range(1, len(score) + 1))
                 assert assignment_value(score, fast) == assignment_value(score, slow)
 
     def test_float_scores(self):
@@ -123,9 +121,6 @@ class TestBruteForce:
 
 
 class TestPermutationHelpers:
-    def test_identity(self):
-        assert identity_permutation(4).tolist() == [1, 2, 3, 4]
-
     def test_inverse(self):
         perm = np.array([3, 1, 2])
         inv = inverse_permutation(perm)
@@ -133,9 +128,12 @@ class TestPermutationHelpers:
         assert inverse_permutation(inv).tolist() == perm.tolist()
 
     def test_is_permutation(self):
-        assert is_permutation([2, 1, 3])
-        assert not is_permutation([1, 1, 3])
-        assert not is_permutation([[1, 2]])
+        # the permutation check lives in inverse_permutation: it accepts each
+        # of 1..K once and raises ValueError on anything else
+        assert inverse_permutation([2, 1, 3]).tolist() == [2, 1, 3]
+        for bad in ([1, 1, 3], [[1, 2]]):
+            with pytest.raises(ValueError):
+                inverse_permutation(bad)
 
 
 def test_compiled_solver_loads_without_scipy_optimize():

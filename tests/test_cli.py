@@ -230,7 +230,8 @@ class TestMmcc:
         assert result.exit_code == 2
         assert f"{csv}:3: cannot read" in result.output
 
-    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    # 1e200 is finite, but its squared distances overflow in the Lloyd fit
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e200"])
     def test_non_finite_cell_exit_2(self, runner, tmp_path, cell):
         # the header, the blank line and the comment line all count toward the line number
         csv = write(tmp_path / "d.csv", f"x,y\n1,2\n3,4\n\n# note\n5,{cell}\n7,8\n9,10\n")
@@ -258,14 +259,15 @@ class TestSimulate:
         out = tmp_path / "grid.csv"
         result = runner.invoke(main, [
             "simulate", "--scenario", "grid", "--p-grid", "0.5",
-            "--kappa-grid", "1", "--rounds", "60", "--seed", "5", "--out", str(out),
+            "--kappa-grid", "1,-0.0", "--rounds", "60", "--seed", "5", "--out", str(out),
         ])
         assert result.exit_code == 0, result.output
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "p,kappa,H,I,CIC,degenerate,fixed,matcher,seed"
-        assert len(lines) == 2
+        assert len(lines) == 3
         fields = lines[1].split(",")
         assert fields[0] == "0.5" and fields[5] == "false" and fields[7] == "truematch"
+        assert [line.split(",")[1] for line in lines[1:]] == ["1", "0"]  # -0.0 prints as 0
 
     def test_bad_grid_exit_2(self, runner):
         result = runner.invoke(main, [

@@ -2,8 +2,9 @@
 
 Label files vary line endings (LF, CRLF), the ``label`` header, blank
 lines inside and at the end, padding, unicode tokens and undecodable
-bytes; mmcc CSVs vary header rows, comments, blank lines, ragged rows
-and emptiness.  A run that exits 0 must also write well-formed output.
+bytes; mmcc CSVs vary header rows, comments, blank lines, ragged rows,
+emptiness, and cells up to the float maximum or subnormal.  A run that
+exits 0 must also write well-formed output.
 """
 
 import json
@@ -47,9 +48,15 @@ def label_pairs(draw):
 
 
 BAD_CELLS = ["nan", "inf", "-inf", "", " ", "x", "1e400", "1_0", "０"]
-# one cell in 16 is not a finite number
+# finite cells far from 1: up to the float maximum, and subnormal
+EXTREME_CELLS = st.one_of(
+    st.sampled_from(["1e308", "-1e308", "1e200", "1e150", "-1e150", "5e-324", "2.2e-308"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+# one cell in 16 is not a finite number, one in 16 is extreme
 NUMBER = st.integers(0, 15).flatmap(
     lambda i: st.sampled_from(BAD_CELLS) if i == 0
+    else EXTREME_CELLS if i == 2
     else st.integers(-5, 5).map(str) if i % 2
     else st.floats(-10, 10).map(lambda x: f"{x:.3g}")
 )

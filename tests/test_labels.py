@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from truematch import (
     LabelParseError,
     LabelVector,
+    LloydClusterer,
     MatchingTable,
     VoteMatrix,
     aligned_table,
@@ -16,9 +17,7 @@ from truematch import (
     fictitious_cluster,
     inverse_permutation,
     majority_labels,
-    mapping_csv,
     parse_labels,
-    serialize_labels,
 )
 
 
@@ -114,13 +113,9 @@ class TestParseLabels:
 
     def test_roundtrip_on_canonical_form(self):
         vec, _ = parse_labels("a\nb\na\nc")
-        again, _ = parse_labels(serialize_labels(vec))
+        again, _ = parse_labels("label\n1\n2\n1\n3\n")  # vec in the one-label-per-line format
         assert again.labels.tolist() == vec.labels.tolist()
         assert again.n_clusters == vec.n_clusters
-
-    def test_mapping_csv_format(self):
-        _, mapping = parse_labels("x\ny")
-        assert mapping_csv(mapping) == "original,canonical\nx,1\ny,2\n"
 
 
 class TestCanonicalPair:
@@ -230,6 +225,7 @@ class TestLabelVector:
             fictitious_cluster(truth, 0.5, rng),
             enforce_sizes(truth, (2, 2), rng),
             majority_labels(VoteMatrix(np.array([[2, 1], [0, 3]]), 3), rng),
+            LloydClusterer().predict(np.array([[0.0], [4.0]]), np.array([1.0, 3.0, 5.0])),
         ]
         assert va.labels.tolist() == [3, 1, 3, 2]
         for v in made:

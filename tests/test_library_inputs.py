@@ -3,9 +3,9 @@
 Each public function that takes labels, permutations, counts, votes or
 probabilities is fed small arrays that mix ints, whole and fractional
 floats, NaN and infinities, in 0-d, 1-D, 2-D and empty shapes.  None may
-fail any other way, ``is_permutation`` always answers with a bool, and a
-function that accepts float input must give what it gives for the same
-values as ints, so a fraction is never silently truncated.  Scalar
+fail any other way, and a function that accepts float input must give
+what it gives for the same values as ints, so a fraction is never
+silently truncated.  Scalar
 integer arguments (sizes, round counts, seeds) and resample indices are
 checked the same way, each against its lower bound.
 """
@@ -31,7 +31,6 @@ from truematch import (
     canonical_pair,
     crosstab,
     inverse_permutation,
-    is_permutation,
     majority_labels,
     mmcc_run,
     outlier_scenario,
@@ -98,12 +97,6 @@ def test_returns_or_raises_value_error(name, x):
     arr = np.asarray(x)
     if result is not ValueError and arr.dtype.kind == "f" and name in WHOLE_NUMBER_CALLS:
         assert result == _call(name, arr.astype(np.int64))
-
-
-@settings(max_examples=300, deadline=None)
-@given(x=odd_arrays())
-def test_is_permutation_answers_with_a_bool(x):
-    assert isinstance(is_permutation(x), bool)
 
 
 POINTS = np.array([[0.0, 0.0], [0.1, 0.2], [0.2, 0.1], [5.0, 5.0], [5.1, 4.9], [4.8, 5.2]])

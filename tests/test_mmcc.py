@@ -10,13 +10,10 @@ from truematch import (
     VoteMatrix,
     build_truth,
     cic_stats,
-    lloyd_base_clusterer,
     majority_labels,
     mmcc_run,
-    random_clusterer,
-    true_class_clusterer,
 )
-from truematch.mmcc import _squared_distances
+from truematch.mmcc import MAX_MAGNITUDE, _squared_distances
 
 
 class TestMajorityLabels:
@@ -32,7 +29,7 @@ class TestMajorityLabels:
 
     def test_matches_constant_clusterer(self):
         labels = np.array([1, 1, 2, 2, 1])
-        clusterer = true_class_clusterer(labels, np.eye(2), shuffle_labels=False)
+        clusterer = FictitiousClusterer(np.eye(2), true_classes=labels, shuffle_labels=False)
         votes, _ = mmcc_run(np.zeros(5), 2, clusterer, "truematch", 20, np.random.default_rng(2))
         majority = majority_labels(votes, np.random.default_rng(3))
         assert majority.labels.tolist() == labels.tolist()
@@ -114,12 +111,12 @@ class TestCicStats:
 class TestMmccRun:
     def test_constant_clusterer_crisp(self):
         truth = build_truth(40, 0.5)
-        clusterer = true_class_clusterer(truth, np.eye(2), shuffle_labels=False)
+        clusterer = FictitiousClusterer(np.eye(2), true_classes=truth, shuffle_labels=False)
         _, probs = mmcc_run(np.zeros(40), 2, clusterer, "truematch", 50, np.random.default_rng(6))
         assert cic_stats(probs).uncertainty == 0.0
 
     def test_vote_conservation_and_row_stochastic(self):
-        clusterer = random_clusterer([0.6, 0.4])
+        clusterer = FictitiousClusterer([[0.6, 0.4]])
         votes, probs = mmcc_run(np.zeros(30), 2, clusterer, "truematch", 25, np.random.default_rng(7))
         assert votes.votes.sum() == 30 * 25
         assert np.all(votes.votes.sum(axis=1) == 25)
@@ -132,7 +129,7 @@ class TestMmccRun:
     )
     def test_rejects_invalid_settings(self, rounds, window):
         with pytest.raises(ValueError):
-            mmcc_run(np.zeros(10), 2, random_clusterer([0.5, 0.5]), "truematch", rounds,
+            mmcc_run(np.zeros(10), 2, FictitiousClusterer([[0.5, 0.5]]), "truematch", rounds,
                      np.random.default_rng(0), early_stop_window=window)
 
     def test_rejects_bad_labels(self):
@@ -149,21 +146,21 @@ class TestMmccRun:
     def test_column_means_symmetrize_under_truematch(self):
         # purely random base clusterer: the matcher must spread votes so the
         # columns converge toward uniform shares even for a skewed clusterer
-        clusterer = random_clusterer([0.99, 0.01])
+        clusterer = FictitiousClusterer([[0.99, 0.01]])
         _, probs = mmcc_run(np.zeros(100), 2, clusterer, "truematch", 1000,
                             np.random.default_rng(8))
         shares = probs.probs.mean(axis=0)
         assert np.all(np.abs(shares - 0.5) <= 0.05)
 
     def test_k1_runs(self):
-        _, probs = mmcc_run(np.zeros(20), 1, random_clusterer([1.0]), "truematch", 10,
+        _, probs = mmcc_run(np.zeros(20), 1, FictitiousClusterer([[1.0]]), "truematch", 10,
                             np.random.default_rng(9))
         stats = cic_stats(probs)
         assert stats.uncertainty == 0.0 and stats.cic == 0.0
 
     def test_short_resamples_redrawn(self):
         # six distinct points and k=4: some resamples hold fewer than four
-        votes, _ = mmcc_run(np.arange(6.0), 4, lloyd_base_clusterer(), "truematch", 20,
+        votes, _ = mmcc_run(np.arange(6.0), 4, LloydClusterer(), "truematch", 20,
                             np.random.default_rng(0))
         assert votes.rounds == 20
         assert np.all(votes.votes.sum(axis=1) == 20)
@@ -181,7 +178,7 @@ class TestMmccRun:
 
     def test_early_stop_window(self):
         truth = build_truth(30, 0.5)
-        clusterer = true_class_clusterer(truth, np.eye(2), shuffle_labels=False)
+        clusterer = FictitiousClusterer(np.eye(2), true_classes=truth, shuffle_labels=False)
         votes, _ = mmcc_run(np.zeros(30), 2, clusterer, "truematch", 500,
                             np.random.default_rng(10), early_stop_window=20)
         assert votes.rounds < 500
@@ -191,7 +188,7 @@ class TestLloydClusterer:
     def test_separated_blobs_consistent_partition(self):
         rng = np.random.default_rng(11)
         data = np.r_[rng.normal(0.0, 0.3, 40), rng.normal(10.0, 0.3, 40)]
-        clusterer = lloyd_base_clusterer()
+        clusterer = LloydClusterer()
         split = data < 5.0
         for seed in range(5):
             fit_rng = np.random.default_rng(seed)
@@ -204,12 +201,12 @@ class TestLloydClusterer:
 
     def test_exact_convergence_on_two_points(self):
         data = np.array([0.0, 0.0, 10.0, 10.0])
-        clusterer = lloyd_base_clusterer()
+        clusterer = LloydClusterer()
         model = clusterer.fit(data, np.arange(4), 2, np.random.default_rng(12))
         assert sorted(model.ravel().tolist()) == [0.0, 10.0]
 
     def test_too_few_distinct_points_rejected(self):
-        clusterer = lloyd_base_clusterer()
+        clusterer = LloydClusterer()
         with pytest.raises(ValueError):
             clusterer.fit(np.array([1.0, 1.0, 1.0]), np.arange(3), 2, np.random.default_rng(0))
 
@@ -219,19 +216,30 @@ class TestLloydClusterer:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(DegenerateResample, match="resample holds only 1"):
-            lloyd_base_clusterer().fit(np.array([1.0, 2.0]), np.array([0, 0]), 2, rng)
+            LloydClusterer().fit(np.array([1.0, 2.0]), np.array([0, 0]), 2, rng)
         assert rng.bit_generator.state == state
 
     def test_too_few_distinct_points_in_data_named(self):
         with pytest.raises(ValueError, match="data holds only 2 distinct points") as err:
-            lloyd_base_clusterer().fit(np.array([1.0, 1.0, 1.0, 2.0]), np.arange(4), 4,
+            LloydClusterer().fit(np.array([1.0, 1.0, 1.0, 2.0]), np.arange(4), 4,
                                        np.random.default_rng(0))
         assert not isinstance(err.value, DegenerateResample)
 
     def test_non_finite_data_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            lloyd_base_clusterer().fit(np.array([0.0, np.nan, 1.0]), np.arange(3), 2,
-                                       np.random.default_rng(0))
+        # 1e200 is finite, but its squared distances overflow
+        for bad in (np.nan, 1e200, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                LloydClusterer().fit(np.array([0.0, bad, 1.0]), np.arange(3), 2,
+                                     np.random.default_rng(0))
+
+    def test_data_at_the_magnitude_bound_fits(self):
+        data = np.array([[MAX_MAGNITUDE, -MAX_MAGNITUDE], [-MAX_MAGNITUDE, MAX_MAGNITUDE], [0.0, 0.0]])
+        clusterer = LloydClusterer()
+        with np.errstate(over="raise", invalid="raise"):
+            model = clusterer.fit(data, np.array([0, 1, 2, 0]), 2, np.random.default_rng(0))
+            labels = clusterer.predict(model, data).labels
+        assert np.isfinite(model).all()
+        assert labels[0] != labels[1]
 
     def test_uniform_data_fuzzifies(self):
         # structureless data must leave visible uncertainty (the boundary
@@ -239,7 +247,7 @@ class TestLloydClusterer:
         # exact zero; pilot runs put the band at roughly 0.03-0.17 bits
         rng = np.random.default_rng(13)
         data = rng.uniform(0.0, 1.0, 100)
-        _, probs = mmcc_run(data, 2, lloyd_base_clusterer(), "truematch", 150,
+        _, probs = mmcc_run(data, 2, LloydClusterer(), "truematch", 150,
                             np.random.default_rng(14))
         assert cic_stats(probs).uncertainty > 0.02
 
@@ -293,7 +301,7 @@ def _equivalence_data(kind, d, rng):
 def _assert_same_fit(data, picks, k, seed, iterations=25):
     """The bundled fit and the reference give the same centroids, generator
     state and predicted labels."""
-    fast, slow = lloyd_base_clusterer(iterations), _ReferenceLloyd(iterations)
+    fast, slow = LloydClusterer(iterations), _ReferenceLloyd(iterations)
     fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     model = fast.fit(data, picks, k, fast_rng)
     expected = slow.fit(data, picks, k, slow_rng)
@@ -367,7 +375,7 @@ class TestFictitiousClusterer:
             FictitiousClusterer([[np.nan, np.nan]])
 
     def test_proportions_respected(self):
-        clusterer = random_clusterer([0.8, 0.2], shuffle_labels=False)
+        clusterer = FictitiousClusterer([[0.8, 0.2]], shuffle_labels=False)
         rng = np.random.default_rng(15)
         labels = clusterer.fit(np.zeros(4000), None, 2, rng)
         assert abs(np.mean(labels == 1) - 0.8) <= 0.02
