@@ -275,7 +275,7 @@ def mmcc(data_csv, k, rounds, matcher, seed, probs_out, stats_out):
     with _Guard():
         data = _load_matrix_csv(data_csv)
         rng = np.random.default_rng(seed)
-        votes, probs = mmcc_run(data, k, LloydClusterer(), matcher, rounds, rng)
+        _, probs = mmcc_run(data, k, LloydClusterer(), matcher, rounds, rng)
         stats = cic_stats(probs)
         _emit_text(_csv_text(probs.probs), probs_out)
         payload = {
@@ -284,7 +284,7 @@ def mmcc(data_csv, k, rounds, matcher, seed, probs_out, stats_out):
             "I": stats.information,
             "CIC": stats.cic,
             "k": k,
-            "rounds": votes.rounds,
+            "rounds": rounds,
             "matcher": matcher,
             "seed": seed,
         }

@@ -22,7 +22,6 @@ generator; the loop then draws a fresh resample.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ from .labels import LabelVector, _label_array, _trusted, _whole
 from .matching import resolve_matcher
 
 __all__ = [
-    "VoteMatrix",
     "ProbMatrix",
     "CicStats",
     "DegenerateResample",
@@ -51,21 +49,6 @@ MAX_MAGNITUDE = 1e150
 
 class DegenerateResample(ValueError):
     """A base clusterer cannot fit this resample, but a fresh one may do."""
-
-
-@dataclass(frozen=True)
-class VoteMatrix:
-    """N x K accumulator of per-case cluster votes."""
-
-    votes: np.ndarray
-    rounds: int
-
-    def __post_init__(self):
-        votes = _whole(self.votes, "votes", 2, 0)
-        if votes.size == 0:
-            raise ValueError(f"votes must be a non-empty 2-D matrix, got shape {votes.shape}")
-        object.__setattr__(self, "votes", votes)
-        object.__setattr__(self, "rounds", _whole(self.rounds, "rounds", 0, 0))
 
 
 @dataclass(frozen=True)
@@ -110,7 +93,7 @@ def majority_labels(votes, rng: np.random.Generator) -> LabelVector:
 
     Every row must hold at least one vote.
     """
-    v = _whole(getattr(votes, "votes", votes), "votes", 2, 0)
+    v = _whole(votes, "votes", 2, 0)
     if v.size == 0:
         raise ValueError("votes must be a non-empty 2-D matrix")
     # numpy reduces along a short last axis one row at a time, so reduce
@@ -131,9 +114,7 @@ def mmcc_run(
     matcher,
     rounds: int,
     rng: np.random.Generator,
-    early_stop_window: int | None = None,
-    early_stop_tol: float = 1e-3,
-) -> tuple[VoteMatrix, ProbMatrix]:
+) -> tuple[np.ndarray, ProbMatrix]:
     """Aggregate cluster votes over bootstrap resamples.
 
     Each round's resample is redrawn, up to ``REDRAW_BUDGET`` times, while
@@ -141,26 +122,20 @@ def mmcc_run(
     predicted vector as-is (it seeds the label space).  Every later round
     estimates current memberships by row majority, aligns the fresh
     prediction to them via ``matcher`` on their crosstab, and votes the
-    aligned labels.  Stops after ``rounds`` rounds, or earlier when
-    ``early_stop_window`` is set and the membership matrix moved less
-    than ``early_stop_tol`` in max norm over that many rounds.  ``k``,
-    ``rounds`` and ``early_stop_window`` must be whole numbers of at least
-    1, 2 and 1; anything else raises ``ValueError``.
+    aligned labels.  ``k`` and ``rounds`` must be whole numbers of at
+    least 1 and 2; anything else raises ``ValueError``.
 
-    Returns the vote matrix and its row-normalized probability matrix.
+    Returns the N x K int64 vote array, each row summing to ``rounds``,
+    and its row-normalized probability matrix.
     """
     rounds = _whole(rounds, "rounds", 0, 2)
     k = _whole(k, "k", 0, 1)
-    if early_stop_window is not None:
-        early_stop_window = _whole(early_stop_window, "early_stop_window", 0, 1)
     n = len(data)
     if n < k:
         raise ValueError(f"need at least k={k} cases, got {n}")
     match_fn = resolve_matcher(matcher)
 
     votes = np.zeros((n, k), dtype=np.int64)
-    # the early-stop rule compares the newest snapshot with the one a window back
-    history = None if early_stop_window is None else deque(maxlen=early_stop_window + 1)
     for round_idx in range(rounds):
         for _ in range(REDRAW_BUDGET):
             picks = rng.integers(0, n, size=n)
@@ -181,13 +156,9 @@ def mmcc_run(
             table = crosstab(reference.labels, predicted, k=k)
             aligned = match_fn(table, rng).perm[predicted - 1]
         votes[np.arange(n), aligned - 1] += 1
-        if history is not None:
-            history.append(votes / votes.sum(axis=1, keepdims=True))
-            if len(history) == history.maxlen and np.abs(history[-1] - history[0]).max() < early_stop_tol:
-                break
 
     probs = votes / votes.sum(axis=1, keepdims=True)
-    return VoteMatrix(votes, round_idx + 1), ProbMatrix(probs)
+    return votes, ProbMatrix(probs)
 
 
 def cic_stats(probs: ProbMatrix) -> CicStats:

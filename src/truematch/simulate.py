@@ -199,7 +199,7 @@ def simulate_cell(cfg: SimulationConfig) -> CellResult:
         active = votes[voted]
         stats = cic_stats(ProbMatrix(active / active.sum(axis=1, keepdims=True)))
         final = majority_labels(active, rng)
-        degenerate = accepted < cfg.rounds or np.unique(final.labels).size < 2
+        degenerate = accepted < cfg.rounds or bool(final.labels.min() == final.labels.max())
     else:
         stats = CicStats(*[float("nan")] * 4)
         degenerate = True

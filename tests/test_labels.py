@@ -8,7 +8,6 @@ from truematch import (
     LabelVector,
     LloydClusterer,
     MatchingTable,
-    VoteMatrix,
     aligned_table,
     apply_permutation,
     canonical_pair,
@@ -224,7 +223,7 @@ class TestLabelVector:
             apply_permutation(va, [2, 3, 1]),
             fictitious_cluster(truth, 0.5, rng),
             enforce_sizes(truth, (2, 2), rng),
-            majority_labels(VoteMatrix(np.array([[2, 1], [0, 3]]), 3), rng),
+            majority_labels(np.array([[2, 1], [0, 3]]), rng),
             LloydClusterer().predict(np.array([[0.0], [4.0]]), np.array([1.0, 3.0, 5.0])),
         ]
         assert va.labels.tolist() == [3, 1, 3, 2]
@@ -251,7 +250,6 @@ NON_INTEGRAL_LABEL_CALLS = {
     "apply_permutation-perm": lambda perm: apply_permutation([1, 2], perm),
     "inverse_permutation": inverse_permutation,
     "aligned_table": lambda perm: aligned_table(MatchingTable([[3, 1], [0, 2]]), perm),
-    "VoteMatrix": lambda votes: VoteMatrix([votes], 2),
     "majority_labels": lambda votes: majority_labels([votes], np.random.default_rng(0)),
     "enforce_sizes-target": lambda target: enforce_sizes([1, 2, 2], target, np.random.default_rng(0)),
 }

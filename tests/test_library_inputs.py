@@ -24,7 +24,6 @@ from truematch import (
     MatchingTable,
     ProbMatrix,
     SimulationConfig,
-    VoteMatrix,
     aligned_table,
     apply_permutation,
     build_truth,
@@ -55,7 +54,6 @@ CALLS = {
     "inverse_permutation": inverse_permutation,
     "aligned_table": lambda x: aligned_table(MatchingTable([[3, 1], [0, 2]]), x),
     "MatchingTable": MatchingTable,
-    "VoteMatrix": lambda x: VoteMatrix(x, 1),
     "majority_labels": lambda x: majority_labels(x, np.random.default_rng(0)),
     "ProbMatrix": ProbMatrix,
 }
@@ -106,8 +104,8 @@ def _rng():
     return np.random.default_rng(0)
 
 
-def _mmcc(k=2, rounds=4, **options):
-    return mmcc_run(POINTS, k, LloydClusterer(), "truematch", rounds, _rng(), **options)
+def _mmcc(k=2, rounds=4):
+    return mmcc_run(POINTS, k, LloydClusterer(), "truematch", rounds, _rng())
 
 
 def _cell(**fields):
@@ -118,9 +116,7 @@ def _cell(**fields):
 SCALAR_INTEGER_CALLS = {
     "mmcc_run-k": ("k", 1, 2, lambda x: _mmcc(k=x)),
     "mmcc_run-rounds": ("rounds", 2, 3, lambda x: _mmcc(rounds=x)),
-    "mmcc_run-early_stop_window": ("early_stop_window", 1, 1, lambda x: _mmcc(early_stop_window=x)),
     "build_truth": ("n_cases", 2, 4, lambda x: build_truth(x, 0.5)),
-    "VoteMatrix-rounds": ("rounds", 0, 1, lambda x: VoteMatrix([[1, 0]], x)),
     "LloydClusterer-iterations": ("iterations", 1, 2,
                                   lambda x: LloydClusterer(x).fit(POINTS, range(6), 2, _rng())),
     "outlier_scenario-runs": ("runs", 1, 3, lambda x: outlier_scenario(x, "tracemax", _rng())),
@@ -151,8 +147,8 @@ def test_whole_float_integer_argument_acts_as_int(call):
 
 @pytest.mark.parametrize(
     "call",
-    [lambda v: majority_labels(v, _rng()), lambda v: VoteMatrix(v, 1)],
-    ids=["majority_labels", "VoteMatrix"],
+    [lambda v: majority_labels(v, _rng())],
+    ids=["majority_labels"],
 )
 def test_negative_votes_rejected(call):
     # a majority over negative votes would pick the least negative column
