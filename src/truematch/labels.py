@@ -59,6 +59,8 @@ def _whole(value, name: str, ndim: int, low: int | None = None):
     """``value`` as int64 (an int when ``ndim`` is 0), each entry at least
     ``low`` if given.  Floats must be whole numbers within int64: 1.5, NaN
     and inf are rejected, not truncated."""
+    if ndim == 0 and type(value) is int and (low is None or value >= low):
+        return value  # a plain int in range: nothing to convert or check
     arr = np.asarray(value)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must have {ndim} dimensions, got shape {arr.shape}")
@@ -66,7 +68,7 @@ def _whole(value, name: str, ndim: int, low: int | None = None):
         raise ValueError(f"{name} must be {'a whole number' if ndim == 0 else 'whole numbers'}")
     # a 0-d value converts directly, so seeds above the int64 range stay exact
     out = int(arr) if ndim == 0 else arr.astype(np.int64, copy=False)
-    if low is not None and (np.asarray(out) < low).any():
+    if low is not None and np.asarray(out).min(initial=low) < low:
         raise ValueError(f"{name} must be >= {low}, got {np.min(out)}")
     return out
 

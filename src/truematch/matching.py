@@ -15,7 +15,9 @@ Three matchers share one result shape:
 All matchers draw from a caller-owned generator.  An initial random
 row/column shuffle of the table decides between co-optimal assignments,
 and explicit uniform draws order tied matched pairs.  Given the same
-table and generator state, results are reproducible bit for bit.
+table and generator state, results are reproducible bit for bit.  At
+K=2 the matchers pick, order and present the two pairs on Python scalars,
+with the same float operations: no solver call, lexsort or fancy indexing.
 
 The shuffle makes that choice equivariant: relabelling the table's rows
 or columns relabels the distribution of assignments the same way, so
@@ -110,6 +112,7 @@ class MatchResult:
     row_order, col_order : ndarray, on read
         1-based original row/column of each presented pair, so
         ``matched_table.counts[i, j] == counts[row_order[i]-1, col_order[j]-1]``.
+        Built together with ``matched_table``; at K=2 from one tuple comparison.
     """
 
     method: str
@@ -129,20 +132,25 @@ class MatchResult:
         return self.residuals.signed[np.arange(self.table.k), self.row_to_col]
 
     @cached_property
-    def row_order(self) -> np.ndarray:
+    def _presentation(self) -> tuple[np.ndarray, np.ndarray, MatchingTable]:
+        # row_order, col_order and matched_table, in order (count desc, signed desc, pair draw)
+        if self.table.k == 2:  # one tuple comparison on Python scalars, no lexsort or fancy indexing
+            n, s, u, to_col = (x.tolist() for x in (self.table.counts, self.residuals.signed, self.pair_draws, self.row_to_col))
+            first, second = ((-n[r][to_col[r]], -s[r][to_col[r]], u[r]) for r in (0, 1))
+            rows = [1, 0] if second < first else [0, 1]
+            cols = [to_col[r] for r in rows]
+            matched = _trusted(MatchingTable, counts=np.array([[n[r][c] for c in cols] for r in rows]))
+            return np.array([r + 1 for r in rows]), np.array([c + 1 for c in cols]), matched
         rows = np.arange(self.table.k)
         signed = self.residuals.signed[rows, self.row_to_col]
         counts = self.table.counts[rows, self.row_to_col]
-        return np.lexsort((self.pair_draws, -signed, -counts)) + 1
+        present = np.lexsort((self.pair_draws, -signed, -counts))
+        cols = self.row_to_col[present]
+        return present + 1, cols + 1, _trusted(MatchingTable, counts=self.table.counts[present[:, None], cols])
 
-    @cached_property
-    def col_order(self) -> np.ndarray:
-        return self.row_to_col[self.row_order - 1] + 1
-
-    @cached_property
-    def matched_table(self) -> MatchingTable:
-        rows, cols = self.row_order - 1, self.col_order - 1
-        return _trusted(MatchingTable, counts=self.table.counts[rows[:, None], cols])
+    row_order = property(lambda self: self._presentation[0])
+    col_order = property(lambda self: self._presentation[1])
+    matched_table = property(lambda self: self._presentation[2])
 
     @cached_property
     def pairs(self) -> tuple[MatchedPair, ...]:
@@ -154,26 +162,26 @@ class MatchResult:
 
 def _match_by_assignment(method: str, table: MatchingTable, score: np.ndarray, rng: np.random.Generator) -> MatchResult:
     k = table.k
-    row_shuffle = rng.permutation(k)
-    col_shuffle = rng.permutation(k)
+    row_shuffle, col_shuffle, draws = rng.permutation(k), rng.permutation(k), rng.uniform(size=k)
+    trace = {"row_shuffle": row_shuffle.tolist(), "col_shuffle": col_shuffle.tolist(), "pair_draws": draws.tolist()}
+    # pairs are reported by the score the assignment maximized, ties by draw
     if k == 2:
-        # The compiled solver's own decision on a shuffled 2x2 score a b / c d,
-        # without its call: swap iff a + d < b + c, or on a tie iff a < b.
-        (a, b), (c, d) = score[row_shuffle[:, None], col_shuffle].tolist()
+        # The compiled solver's own decision on the shuffled 2x2 score a b / c d, in
+        # Python scalars: swap iff a + d < b + c, or on a tie iff a < b.
+        (r0, r1), (c0, c1), u = trace.values()  # the two shuffles and the pair draws
+        s = score.tolist()
+        a, b, c, d = s[r0][c0], s[r0][c1], s[r1][c0], s[r1][c1]
         swap = a + d < b + c or (a + d == b + c and a < b)
-        shuffled_cols = col_shuffle[::-1] if swap else col_shuffle
+        to_col = [1, 0] if (r0 != c0) != swap else [0, 1]  # row r0 takes c1 on a swap, else c0
+        row_to_col, perm = np.array(to_col), np.array([c + 1 for c in to_col])  # a 2-permutation is its own inverse
+        pair_order = np.array([1, 0] if (-s[1][to_col[1]], u[1]) < (-s[0][to_col[0]], u[0]) else [0, 1])
     else:
         shuffled_cols = col_shuffle[solve_assignment(score[np.ix_(row_shuffle, col_shuffle)], "maximize") - 1]
-    # Shuffled row i is original row row_shuffle[i]; likewise for columns.
-    row_to_col = np.empty(k, dtype=np.int64)
-    row_to_col[row_shuffle] = shuffled_cols
-    perm = np.argsort(row_to_col) + 1  # inverse of the bijection: column label c -> its row
-    draws = rng.uniform(size=k)
-    trace = {"row_shuffle": row_shuffle.tolist(), "col_shuffle": col_shuffle.tolist()}
-    trace["pair_draws"] = draws.tolist()
-    # pairs are reported by the score the assignment maximized, ties by draw
-    rows = np.arange(k)
-    pair_order = np.lexsort((draws, -score[rows, row_to_col]))
+        # Shuffled row i is original row row_shuffle[i]; likewise for columns.
+        row_to_col = np.empty(k, dtype=np.int64)
+        row_to_col[row_shuffle] = shuffled_cols
+        perm = np.argsort(row_to_col) + 1  # inverse of the bijection: column label c -> its row
+        pair_order = np.lexsort((draws, -score[np.arange(k), row_to_col]))
     return MatchResult(method, perm, trace, table, row_to_col, draws, pair_order)
 
 
@@ -226,12 +234,16 @@ def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) ->
             e[rs[:n] == 0] = e[:, cs[:n] == 0] = 1.0  # d = 0 - 0 there (or everywhere): residual +0
             signed *= np.abs(signed, out=absdiff[: n * n].reshape(n, n))
             signed /= e
-        flat = np.flatnonzero(signed == signed.max())
-        if flat.size > 1:  # ties on the residual go to the larger count, then to a draw
-            top = sub[flat // n, flat % n]
-            flat = flat[top == top.max()]
-        pick = int(flat[0] if flat.size == 1 else rng.choice(flat))
-        if flat.size > 1:
+        if k == 2:  # the one step on Python scalars: the cells maximal by (residual, count)
+            cells = list(zip(signed.ravel().tolist(), sub.ravel().tolist()))
+            flat = [i for i, cell in enumerate(cells) if cell == max(cells)]
+        else:
+            flat = np.flatnonzero(signed == signed.max())
+            if flat.size > 1:  # ties on the residual go to the larger count, then to a draw
+                top = sub[flat // n, flat % n]
+                flat = flat[top == top.max()]
+        pick = int(flat[0] if len(flat) == 1 else rng.choice(flat))
+        if len(flat) > 1:
             tie_draws.append(pick)
         r, c = divmod(pick, n)
         row = live_rows.pop(r)

@@ -128,7 +128,8 @@ def enforce_sizes(judged, target, rng: np.random.Generator) -> LabelVector:
     the vector length.
     """
     labels = _label_array(judged, 2, "judged").copy()
-    target = tuple(_whole(target, "target", 1, 0).tolist())
+    if type(target) is not tuple or not all(type(t) is int and t >= 0 for t in target):
+        target = tuple(_whole(target, "target", 1, 0).tolist())  # else plain ints >= 0, taken as they are
     if len(target) != 2 or sum(target) != labels.size:
         raise ValueError(f"target {target} is not a valid two-class split of {labels.size} cases")
     surplus_two = int((labels == 2).sum()) - target[1]
@@ -260,24 +261,24 @@ def outlier_scenario(
     # crosstab of two labelings that each give label 2 to one picked case,
     # for picks that differ (same = 0) or coincide (same = 1)
     tables = [MatchingTable([[n_cases - 2 + same, 1 - same], [1 - same, same]]) for same in (0, 1)]
-    # the four indices of each distinct matched table, computed once
-    scored: dict[bytes, np.ndarray] = {}
-    table_acc = np.zeros((2, 2), dtype=float)
-    index_acc = np.zeros(4)
+    # each distinct matched table's counts and four indices, computed once, and how often it came up
+    scored: dict[bytes, tuple[np.ndarray, list[float]]] = {}
+    tally: dict[bytes, int] = {}
+    index_sums = [0.0] * 4  # Python floats summed in run order: a float64 accumulator's sums, bit for bit
     coincide = 0
     for _ in range(runs):
         same = int(rng.integers(n_cases) == rng.integers(n_cases))
         matched = match_fn(tables[same], rng).matched_table
         key = matched.counts.tobytes()
         if key not in scored:
-            scored[key] = np.array(
-                [diagonal_fraction(matched), cohen_kappa(matched), rand_index(matched), adjusted_rand(matched)]
-            )
-        table_acc += matched.counts
-        index_acc += scored[key]
+            indices = [diagonal_fraction(matched), cohen_kappa(matched), rand_index(matched), adjusted_rand(matched)]
+            scored[key] = matched.counts, indices
+        tally[key] = tally.get(key, 0) + 1
+        index_sums = [total + index for total, index in zip(index_sums, scored[key][1])]
         coincide += same
 
-    diagonal, kappa, rand, crand = (index_acc / runs).tolist()
+    diagonal, kappa, rand, crand = (total / runs for total in index_sums)
+    table_acc = sum(count * scored[key][0] for key, count in tally.items())  # integer counts, exact
     return OutlierScenarioResult(
         matcher=method,
         runs=runs,

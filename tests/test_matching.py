@@ -191,6 +191,41 @@ class TestTwoByTwoDecision:
         assert tied == {match_tracemax: 84, match_truematch: 112}[matcher]
 
 
+class TestTwoByTwoStream:
+    """A K=2 match draws exactly its documented values from the generator
+    and returns int64 fields, on every small table, empty rows included."""
+
+    @pytest.mark.parametrize("matcher", ["tracemax", "truematch", "truematch-heuristic"])
+    def test_draws_fields_and_pair_order(self, matcher):
+        fn = resolve_matcher(matcher)
+        ties = 0
+        for table in two_by_two_tables(4):
+            for seed in SHUFFLE_PAIR_SEEDS + [101, 202]:
+                rng, expected = np.random.default_rng(seed), np.random.default_rng(seed)
+                res = fn(table, rng)
+                if matcher == "truematch-heuristic":
+                    # a draw among the cells tied on (residual, count), only when there are several
+                    signed = residuals(table).signed
+                    top = signed == signed.max()
+                    flat = np.flatnonzero(top & (table.counts == table.counts[top].max()))
+                    assert res.seed_trace["tie_draws"] == ([int(expected.choice(flat))] if flat.size > 1 else [])
+                    ties += flat.size > 1
+                    assert_heuristic_matches_reference(table.counts, seed)
+                    pair_order = reference_heuristic(table, np.random.default_rng(seed))[3]
+                else:
+                    assert res.seed_trace["row_shuffle"] == expected.permutation(2).tolist()
+                    assert res.seed_trace["col_shuffle"] == expected.permutation(2).tolist()
+                    score = ASSIGNMENT_SCORES[fn](table)
+                    pair_order = np.lexsort((res.pair_draws, -score[np.arange(2), res.row_to_col]))
+                assert res.pair_draws.tolist() == res.seed_trace["pair_draws"] == expected.uniform(size=2).tolist()
+                assert rng.bit_generator.state == expected.bit_generator.state, (table.counts, seed)
+                for field in (res.perm, res.row_to_col, res.pair_order):
+                    assert field.dtype == np.int64 and field.shape == (2,)
+                assert res.perm.tolist() == (np.argsort(res.row_to_col) + 1).tolist()
+                assert res.pair_order.tolist() == pair_order.tolist(), (table.counts, seed)
+        assert ties > 0 or matcher != "truematch-heuristic"
+
+
 # Tied 3x3 tables and how often each assignment matcher picks their
 # co-optimal assignments over all 36 shuffle pairs, most picked first.  The
 # unequal splits are facts of shuffle-then-solve, not a target; each zero is
@@ -464,7 +499,8 @@ class TestResultShape:
     def test_presentation_matches_reference(self, matcher):
         fn = resolve_matcher(matcher)
         heuristic = matcher == "truematch-heuristic"
-        for i, table in enumerate(presentation_tables()):
+        # every small 2x2 table too: ties in counts and in scores, empty rows and columns
+        for i, table in enumerate(presentation_tables() + two_by_two_tables(4)):
             for seed in range(3):
                 res = fn(table, np.random.default_rng([i, seed]))
                 draws = np.asarray(res.seed_trace["pair_draws"])

@@ -88,8 +88,10 @@ class TestEnforceSizes:
         labels = np.array([1, 2, 1])
         with pytest.raises(ValueError):
             enforce_sizes(labels, (1, 1), np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            enforce_sizes(labels, (-1, 4), np.random.default_rng(0))
+        # sums to the length, so only the bound rejects it, for a tuple of plain ints too
+        for target in ((-1, 4), [-1, 4], np.array([-1, 4])):
+            with pytest.raises(ValueError, match="target must be >= 0, got -1"):
+                enforce_sizes(labels, target, np.random.default_rng(0))
 
 
 class TestSimulateCell:
