@@ -4,7 +4,7 @@
 (they read the diagonal), while ``rand_index`` and ``adjusted_rand`` are
 invariant under any relabeling of either side.  Binomial terms are carried
 in exact integer arithmetic and converted to float only in the final ratio,
-so tables with totals up to 10^6 lose no precision.
+so no product overflows within ``MatchingTable``'s bound, totals up to 3e9.
 """
 
 from __future__ import annotations

@@ -17,8 +17,7 @@ import click
 import numpy as np
 
 from .agreement import adjusted_rand, cohen_kappa, diagonal_fraction, rand_index
-# residuals is not called here; perfbench/spans.py wraps it as a module attribute
-from .crosstab import crosstab, residuals  # noqa: F401
+from .crosstab import crosstab, residuals
 from .labels import LabelParseError, canonical_pair, parse_labels
 from .matching import MATCHERS, resolve_matcher
 from .mmcc import MAX_MAGNITUDE, LloydClusterer, cic_stats, mmcc_run
@@ -226,6 +225,7 @@ def match(labels_a, labels_b, method, seed, out):
         table = _load_table(labels_a, labels_b)
         rng = np.random.default_rng(seed)
         result = resolve_matcher(method)(table, rng)
+        res = residuals(table)
         payload = {
             "method": method,
             "seed": seed,
@@ -233,8 +233,8 @@ def match(labels_a, labels_b, method, seed, out):
             "pairs": [[p.row, p.column, p.signed_dev, p.count] for p in result.pairs],
             "table_before": table.counts,
             "table_after": result.matched_table.counts,
-            "signed_residuals": result.residuals.signed,
-            "chi2": result.residuals.chi2,
+            "signed_residuals": res.signed,
+            "chi2": res.chi2,
         }
         _emit_json(payload, out)
 

@@ -18,12 +18,14 @@ from .labels import _label_array, _readonly, _trusted, _whole
 
 __all__ = ["MatchingTable", "ResidualMatrix", "crosstab", "residuals"]
 
+MAX_TOTAL = 3 * 10**9  # the largest total: MAX_TOTAL**2 < 2**63, so int64 holds margin products
+
 
 @dataclass(frozen=True)
 class MatchingTable:
     """Square table of co-assignment counts between two labelings.
 
-    Rows index the first labeling's clusters, columns the second's.
+    Rows index the first labeling's clusters, columns the second's; counts total at most ``MAX_TOTAL``.
     ``counts`` is a read-only copy; marginals, total and residuals are computed once.
     """
 
@@ -33,6 +35,9 @@ class MatchingTable:
         counts = _whole(self.counts, "counts", 2, 0)
         if counts.shape[0] != counts.shape[1] or counts.size == 0:
             raise ValueError(f"counts must be square and non-empty, got shape {counts.shape}")
+        # each count within the bound first: their sum can then wrap only past 3e9 cells
+        if counts.max() > MAX_TOTAL or counts.sum() > MAX_TOTAL:
+            raise ValueError(f"counts must total at most {MAX_TOTAL}, so that int64 holds their products")
         object.__setattr__(self, "counts", _readonly(counts.copy()))
 
     def __reduce__(self):

@@ -186,12 +186,12 @@ def cic_stats(probs: ProbMatrix) -> CicStats:
 class LloydClusterer:
     """Minimal k-means base clusterer for the vote-aggregation loop.
 
-    ``fit`` runs Lloyd iterations on the resampled rows, starting from k
-    distinct points drawn from the resample; ``predict`` assigns every
-    case to its nearest centroid.  Coordinates must lie within ±``MAX_MAGNITUDE``.  Each iteration measures
-    distances for the distinct in-bag rows only, copies their owners to the resample's
-    rows and sums those in resample order; a repeated assignment ends the fit, as its
-    update would reproduce the centroids exactly.
+    ``fit`` runs Lloyd iterations on the resampled rows, starting from k distinct points drawn
+    from the resample; ``predict`` assigns every case to its nearest centroid.  Coordinates must
+    lie within ±``MAX_MAGNITUDE``.  Each iteration measures distances for the distinct in-bag
+    rows only, copies their owners to the resample's rows and sums those in resample order.  The
+    fit ends only at a repeated assignment, whose update would reproduce the centroids exactly,
+    or at the ``iterations`` cap.  No tolerance decides, so where the data sit does not either.
     """
 
     def __init__(self, iterations: int = 25):
@@ -238,12 +238,7 @@ class LloydClusterer:
             counts = np.bincount(owner, minlength=k)
             sums = _cluster_sums(sample_t, owner, k)
             filled = counts > 0
-            updated = centroids.copy()
-            updated[filled] = sums[filled] / counts[filled, None]
-            # np.allclose(updated, centroids) for finite values, without its overhead
-            if (np.abs(updated - centroids) <= 1e-8 + 1e-5 * np.abs(centroids)).all():
-                break
-            centroids = updated
+            centroids[filled] = sums[filled] / counts[filled, None]
         return centroids
 
     def predict(self, model: np.ndarray, data) -> LabelVector:

@@ -10,7 +10,9 @@ from truematch import (
     crosstab,
     diagonal_fraction,
     rand_index,
+    residuals,
 )
+from truematch.crosstab import MAX_TOTAL
 
 MISSED = MatchingTable([[98, 1], [1, 0]])
 MATCHED = MatchingTable([[99, 0], [0, 1]])
@@ -125,23 +127,46 @@ class TestInvariances:
                 assert cohen_kappa(table) <= diagonal_fraction(table) + 1e-12
 
 
+def _pairs(x):
+    return Fraction(x * (x - 1), 2)
+
+
+def _exact_rand(counts):
+    """Rand and adjusted Rand indices of ``counts`` as Fractions, and the
+    product of the row and column pair counts."""
+    both = sum(_pairs(x) for row in counts for x in row)
+    rows = sum(_pairs(sum(row)) for row in counts)
+    cols = sum(_pairs(sum(col)) for col in zip(*counts))
+    all_pairs = _pairs(sum(map(sum, counts)))
+    expected = rows * cols / all_pairs
+    rand = (all_pairs + 2 * both - rows - cols) / all_pairs
+    crand = (both - expected) / ((rows + cols) / 2 - expected)
+    return rand, crand, rows * cols
+
+
 class TestExactPairCounts:
     def test_million_total_against_fraction_oracle(self):
         counts = [[400_000, 50_000, 10_000], [30_000, 250_000, 20_000], [5_000, 35_000, 200_000]]
         table = MatchingTable(counts)
         assert table.total == 10**6
-
-        def pairs(x):
-            return Fraction(x * (x - 1), 2)
-
-        both = sum(pairs(x) for row in counts for x in row)
-        rows = sum(pairs(sum(row)) for row in counts)
-        cols = sum(pairs(sum(col)) for col in zip(*counts))
-        all_pairs = pairs(10**6)
+        rand, crand, product = _exact_rand(counts)
         # the product the adjusted Rand index needs would wrap around in int64
-        assert rows * cols > np.iinfo(np.int64).max
-        expected = rows * cols / all_pairs
-        rand = (all_pairs + 2 * both - rows - cols) / all_pairs
-        crand = (both - expected) / ((rows + cols) / 2 - expected)
+        assert product > np.iinfo(np.int64).max
         assert rand_index(table) == pytest.approx(float(rand), rel=1e-12, abs=0)
         assert adjusted_rand(table) == pytest.approx(float(crand), rel=1e-12, abs=0)
+
+    def test_total_at_the_bound_against_fraction_oracle(self):
+        # margin products near 5e18, close to the int64 limit of 9.2e18
+        counts = [[2_000_000_000, 100_000_000, 50_000_000], [200_000_000, 400_000_000, 0],
+                  [50_000_000, 0, 200_000_000]]
+        table = MatchingTable(counts)
+        assert table.total == MAX_TOTAL
+        n = Fraction(MAX_TOTAL)
+        rows = [Fraction(sum(row)) for row in counts]
+        cols = [Fraction(sum(col)) for col in zip(*counts)]
+        p_obs = sum(Fraction(counts[i][i]) for i in range(3)) / n
+        p_exp = sum(r * c for r, c in zip(rows, cols)) / n**2
+        assert cohen_kappa(table) == pytest.approx(float((p_obs - p_exp) / (1 - p_exp)), rel=1e-12)
+        expected = [[float(r * c / n) for c in cols] for r in rows]
+        np.testing.assert_allclose(residuals(table).expected, expected, rtol=1e-15, atol=0)
+        assert adjusted_rand(table) == pytest.approx(float(_exact_rand(counts)[1]), rel=1e-12, abs=0)

@@ -17,6 +17,7 @@ from truematch import (
     match_truematch_heuristic,
     residuals,
 )
+from truematch.crosstab import MAX_TOTAL
 from truematch.labels import _label_array
 
 CROSSTAB_MODULE = importlib.import_module("truematch.crosstab")
@@ -201,6 +202,16 @@ class TestMatchingTable:
     def test_rejects_fractional(self):
         with pytest.raises(ValueError):
             MatchingTable([[1.5, 0], [0, 1]])
+
+    @pytest.mark.parametrize("counts", [
+        [[MAX_TOTAL, 1], [0, 0]],
+        [[MAX_TOTAL + 1, 0], [0, 0]],
+        [[5 * 10**9, 1], [1, 5 * 10**9]],  # margin products of 2.5e19 overflow int64
+        [[2**62, 2**62], [2**62, 2**62]],  # a sum that wraps around int64
+    ])
+    def test_rejects_total_over_the_bound(self, counts):
+        with pytest.raises(ValueError, match="total at most 3000000000"):
+            MatchingTable(counts)
 
 
 def reference_signed(counts):

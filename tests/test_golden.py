@@ -10,6 +10,7 @@ seeded output replaces the affected files and says why.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -103,3 +104,22 @@ def run_case(name, out_dir: Path) -> list[tuple[str, bytes]]:
 def test_golden_output(name, tmp_path):
     for fname, produced in run_case(name, tmp_path):
         assert produced == (OUTPUTS / fname).read_bytes(), f"{name}: {fname} differs from its golden"
+
+
+def test_mmcc_output_does_not_depend_on_where_the_data_sit(tmp_path):
+    # the 2-D golden's rows shifted by 2**20: a stop tolerance scaled by the coordinates
+    # would end these fits early (H 1.017 against 0.383); a repeated assignment does not
+    rows = np.loadtxt(INPUTS / "blobs_2d.csv", delimiter=",", skiprows=1) + 2.0**20
+    shifted = tmp_path / "shifted.csv"
+    shifted.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows.tolist()))
+    outputs = []
+    for csv in (INPUTS / "blobs_2d.csv", shifted):
+        probs, stats = tmp_path / f"{csv.stem}.probs.csv", tmp_path / f"{csv.stem}.stats.json"
+        result = CliRunner().invoke(main, [
+            "mmcc", str(csv), "--k", "3", "--rounds", "30", "--seed", "7",
+            "--probs-out", str(probs), "--stats-out", str(stats),
+        ])
+        assert result.exit_code == 0, result.output
+        outputs.append((probs.read_bytes(), stats.read_bytes()))
+    assert outputs[1][0] == outputs[0][0]
+    assert outputs[1][1] == outputs[0][1]  # H and CIC included

@@ -262,7 +262,7 @@ class _ReferenceLloyd(LloydClusterer):
                 members = owner == j
                 if members.any():
                     updated[j] = sample[members].mean(axis=0)
-            if np.allclose(updated, centroids):
+            if np.array_equal(updated, centroids):  # an exact fixed point, whatever the scale
                 break
             centroids = updated
         return centroids
@@ -279,7 +279,8 @@ def _equivalence_data(kind, d, rng):
         centers = 3.0 * rng.integers(0, 3, size=(n, 1))
         data = centers + rng.normal(size=(n, d)) * 10.0 ** rng.integers(-2, 3)
     elif kind == "far from origin":
-        # moves below the relative convergence tolerance still change labels
+        # large coordinates with unit spread: centroid moves are tiny next to
+        # the coordinates themselves, yet still change labels
         offset = 10.0 ** rng.integers(3, 7)
         data = offset + 3.0 * rng.integers(0, 3, size=(n, 1)) + rng.normal(size=(n, d))
     elif kind == "integer grid":
