@@ -34,7 +34,8 @@ def _json_text(value, nl: str = "\n") -> str:
     enclosing level.
 
     Each numpy array is rendered row by row, one ``%`` format a row,
-    instead of one Python call per number.
+    instead of one Python call per number.  A count table (ints in 0..size)
+    indexes the texts of 0..max instead.
     """
     if isinstance(value, (str, bool)) or value is None:
         return json.dumps(value)
@@ -51,6 +52,10 @@ def _json_text(value, nl: str = "\n") -> str:
     if isinstance(value, np.ndarray):
         if value.ndim and value.dtype.kind == "f":
             return _float_array_text(value, nl)
+        if value.dtype.kind in "iu" and 0 < value.ndim < 3 and value.size and value.min() >= 0 \
+                and (top := int(value.max())) <= value.size:
+            texts = np.array(list(map(str, range(top + 1))), dtype=object)[value].tolist()
+            return _bracket(texts if value.ndim == 1 else [_bracket(row, inner) for row in texts], nl)
         if value.ndim > 1:
             return _bracket([_json_text(row, inner) for row in value], nl)
         if value.ndim and value.dtype.kind in "iu":
@@ -110,8 +115,9 @@ def _emit_text(text: str, out_path: str | None) -> None:
 def _load_labels(path: str):
     try:
         with open(path, "rb") as fh:
-            # universal newlines as in text mode; CR and LF never occur inside a UTF-8 character
-            raw = fh.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            raw = fh.read()
+        if b"\r" in raw:  # universal newlines as in text mode; CR never occurs inside a UTF-8 character
+            raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         try:
             text = raw.decode("utf-8-sig")
         except UnicodeDecodeError as err:

@@ -111,6 +111,17 @@ def _perm_array(perm) -> np.ndarray:
     return perm
 
 
+class _Codes(dict):
+    """Raw line -> label code.  A line met for the first time is stripped once, and its
+    token is coded 1, 2, ... in order of first appearance in ``tokens``."""
+
+    def __init__(self):
+        self.tokens: dict[str, int] = {}
+
+    def __missing__(self, raw: str) -> int:
+        return self.setdefault(raw, self.tokens.setdefault(raw.strip(), len(self.tokens) + 1))
+
+
 def parse_labels(source) -> tuple[LabelVector, dict[str, int]]:
     """Parse a label stream into a canonical vector plus its name mapping.
 
@@ -126,24 +137,22 @@ def parse_labels(source) -> tuple[LabelVector, dict[str, int]]:
     if not lines:
         raise LabelParseError("empty label stream")
     body = lines[1:] if lines[0].strip() == HEADER_TOKEN else lines
-    # strip each distinct line once; the earliest line of a token comes first
-    codes = {raw: raw.strip() for raw in dict.fromkeys(body)}
-    if "" in codes.values():
-        lineno = next(i for i, raw in enumerate(lines, start=1) if not raw.strip())
-        raise LabelParseError(f"blank line {lineno} inside label stream", line=lineno)
     if not body:
         raise LabelParseError("label stream holds a header but no labels")
-
-    mapping: dict[str, int] = {}
-    for raw, tok in codes.items():
-        codes[raw] = mapping.setdefault(tok, len(mapping) + 1)
+    codes = _Codes()  # one lookup a line
     out = np.fromiter(map(codes.__getitem__, body), dtype=np.int64, count=len(body))
-    return _trusted(LabelVector, labels=out, n_clusters=len(mapping)), mapping
+    if "" in codes.tokens:
+        lineno = next(i for i, raw in enumerate(lines, start=1) if not raw.strip())
+        raise LabelParseError(f"blank line {lineno} inside label stream", line=lineno)
+    return _trusted(LabelVector, labels=out, n_clusters=len(codes.tokens)), codes.tokens
 
 
 def _compact(labels: np.ndarray) -> tuple[np.ndarray, int]:
     # Distinct values map onto 1..K preserving numeric order, so vectors
-    # already on 1..K pass through unchanged.
+    # already on 1..K pass through unchanged, copied (the caller may hold them) and unsorted.
+    top = int(labels.max())
+    if labels.min() == 1 and top <= labels.size and np.bincount(labels, minlength=top + 1)[1:].all():
+        return labels.copy(), top
     values, inverse = np.unique(labels, return_inverse=True)
     return inverse.astype(np.int64) + 1, int(values.size)
 

@@ -242,7 +242,7 @@ def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) ->
             if flat.size > 1:  # ties on the residual go to the larger count, then to a draw
                 top = sub[flat // n, flat % n]
                 flat = flat[top == top.max()]
-        pick = int(flat[0] if len(flat) == 1 else rng.choice(flat))
+        pick = int(flat[0] if len(flat) == 1 else flat[rng.integers(len(flat))])
         if len(flat) > 1:
             tie_draws.append(pick)
         r, c = divmod(pick, n)

@@ -1,6 +1,6 @@
 """Property tests at the CLI boundary: odd input files exit 0 or 2, never 3.
 
-Label files vary line endings (LF, CRLF), the ``label`` header, blank
+Label files vary line endings (LF, CRLF, lone CR), the ``label`` header, blank
 lines inside and at the end, padding, unicode tokens and undecodable
 bytes; mmcc CSVs vary header rows, comments, blank lines, ragged rows,
 emptiness, and cells up to the float maximum or subnormal.  A run that
@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from truematch.cli import main
@@ -33,7 +33,7 @@ def _label_file(draw, n):
     if lines and draw(st.integers(0, 3)) == 0:
         lines.insert(draw(st.integers(0, len(lines))), "")
     lines += [""] * draw(st.integers(0, 2))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     data = eol.join(lines).encode("utf-8") + draw(st.sampled_from([b"", eol.encode()]))
     if draw(st.integers(0, 9)) == 0:
         data += b"\xff\xfe"  # not UTF-8
@@ -107,6 +107,27 @@ def test_match_and_agree_exit_0_or_2(files):
         # agree needs two cases, so its files also parse for match
         assert match.exit_code == 0
         assert np.array(out["table_before"]).sum() == json.loads(agree.output)["N"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(["a", "b", " c", "ä\t", "x y", "label", "7"]), min_size=2, max_size=12),
+       st.booleans(), st.integers(0, 2), st.sampled_from(["truematch", "truematch-heuristic"]))
+def test_line_endings_give_identical_output(tokens, header, trailing, method):
+    # one label stream written with LF, CRLF and lone CR: the same match and agree bytes
+    assume(header or tokens[0] != "label")  # else the first token is read as the header
+    lines = (["label"] if header else []) + tokens + [""] * trailing
+    outputs = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        path_a = Path(tmp, "a.txt")
+        path_a.write_text("\n".join(["label"] + sorted(tokens)) + "\n", encoding="utf-8")
+        for eol in ("\n", "\r\n", "\r"):
+            path_b = Path(tmp, "b.txt")
+            path_b.write_bytes(eol.join(lines).encode("utf-8"))
+            match = _invoke(["match", str(path_a), str(path_b), "--method", method, "--seed", "5"])
+            agree = _invoke(["agree", str(path_b), str(path_a)])
+            assert match.exit_code == agree.exit_code == 0, (match.output, agree.output)
+            outputs.add((match.output, agree.output))
+    assert len(outputs) == 1
 
 
 @settings(max_examples=150, deadline=None)

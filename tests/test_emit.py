@@ -67,9 +67,16 @@ int_arrays = hnp.arrays(
     st.sampled_from([np.int64, np.int32, np.uint8, np.uint64, np.int8]),
     hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
 )
+# counts in 0..20 on 1-D and 2-D shapes of 0-36 cells: both sides of the digit-table
+# switch (every count at most the cell count)
+count_arrays = hnp.arrays(
+    st.sampled_from([np.int64, np.uint8, np.int32]),
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=6),
+    elements=st.integers(0, 20),
+)
 other_arrays = hnp.arrays(np.bool_, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3))
 payloads = st.recursive(
-    st.one_of(scalars, float_arrays, int_arrays, other_arrays),
+    st.one_of(scalars, float_arrays, int_arrays, count_arrays, other_arrays),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -106,6 +113,17 @@ class TestOracle:
         with np.errstate(over="ignore"):  # float16 holds no value above 65504
             arr = np.array(rows, dtype=dtype)
         payload = {"m": arr, "row": arr[0], "cube": np.stack([arr, -arr])}
+        assert _json_text(payload) == reference(payload)
+
+    @pytest.mark.parametrize("arr", [
+        np.array([[98, 1], [1, 0]]),  # counts above the cell count: the "%d" path
+        np.array([2**64 - 1, 2**64 - 2, 0], dtype=np.uint64),
+        np.array([[-128, 5], [3, 127]], dtype=np.int8),
+        np.zeros((3, 0), dtype=np.int64),
+        np.random.default_rng(400).poisson(0.3, (400, 400)),  # a sparse K=400 table: digit texts
+    ], ids=["2x2-98", "uint64-top", "int8-negative", "3x0", "400x400-poisson"])
+    def test_int_arrays_on_both_sides_of_the_digit_table(self, arr):
+        payload = {"m": arr, "head": arr[:1]}
         assert _json_text(payload) == reference(payload)
 
     def test_non_ascii_strings_and_keys(self):

@@ -156,6 +156,39 @@ class TestCanonicalPair:
             assert np.array_equal(same_raw, same_canon)
 
 
+@st.composite
+def label_vectors(draw, n):
+    """n labels as a list or an int64 array: each of 1..K at least once, or any ints."""
+    if draw(st.booleans()):  # compact, as parse_labels makes them
+        k = draw(st.integers(1, n))
+        values = draw(st.permutations(list(range(1, k + 1)) + draw(
+            st.lists(st.integers(1, k), min_size=n - k, max_size=n - k))))
+    else:  # gaps, min > 1, max > n, negatives, magnitudes up to 2**62
+        elements = draw(st.sampled_from([
+            st.integers(1, 2 * n + 1), st.integers(2, n + 1), st.integers(-3, 3),
+            st.integers(2**62 - 4, 2**62), st.integers(-(2**62), 2**62),
+        ]))
+        values = draw(st.lists(elements, min_size=n, max_size=n))
+    return np.array(values, dtype=np.int64) if draw(st.booleans()) else values
+
+
+class TestCanonicalPairOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.tuples(label_vectors(n), label_vectors(n))))
+    def test_equals_unique_inverse(self, pair):
+        before = [np.array(raw) for raw in pair]
+        va, vb, k = canonical_pair(*pair)
+        # the definition: distinct values onto 1..K in numeric order, K the larger count
+        (ua, ia), (ub, ib) = (np.unique(raw, return_inverse=True) for raw in before)
+        assert va.labels.tolist() == (ia + 1).tolist() and vb.labels.tolist() == (ib + 1).tolist()
+        assert k == va.n_clusters == vb.n_clusters == max(ua.size, ub.size)
+        for raw, old, made in zip(pair, before, (va, vb)):
+            assert made.labels.dtype == np.int64 and not made.labels.flags.writeable
+            if isinstance(raw, np.ndarray):  # the caller's array: untouched and not shared
+                assert raw.flags.writeable and np.array_equal(raw, old)
+                assert not np.shares_memory(raw, made.labels)
+
+
 class TestApplyPermutation:
     def test_identity(self):
         v = LabelVector(np.array([1, 2, 1]), 2)

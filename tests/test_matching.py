@@ -467,6 +467,18 @@ class TestHeuristic:
         a, b = rng.integers(1, 111, 700), rng.integers(1, 121, 700)
         assert_heuristic_matches_reference(crosstab(a, b, 120).counts, seed)
 
+    @pytest.mark.parametrize("size", [2, 3, 4, 7, 64])
+    def test_tie_draw_consumes_the_generator_as_choice(self, size):
+        # the heuristic draws flat[rng.integers(len(flat))]; the reference above keeps
+        # rng.choice(flat): the same element and the same generator state after it,
+        # also with a 32-bit half left buffered by the draw before
+        for flat in (list(range(5, 5 + 3 * size, 3)), np.arange(5, 5 + 3 * size, 3)):
+            for seed in range(2000):
+                by_choice, by_index = np.random.default_rng(seed), np.random.default_rng(seed)
+                for _ in range(2):
+                    assert by_choice.choice(flat) == flat[by_index.integers(len(flat))]
+                    assert by_choice.bit_generator.state == by_index.bit_generator.state
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 6, 9])
     def test_residual_recomputation_count(self, k):
         rng = np.random.default_rng(k)
