@@ -3,7 +3,8 @@
 ``solve_assignment`` calls scipy's compiled Jonker-Volgenant solver (Crouse
 2016, "On implementing 2D rectangular assignment algorithms", IEEE TAES).
 ``brute_force_assignment`` enumerates all K! permutations and serves as
-the testing oracle for small K.
+the testing oracle for small K.  Both minimize; a maximum is the minimum
+of the negated score.
 
 Both solvers are deterministic; randomized tie handling between
 co-optimal permutations belongs to callers (the matching layer shuffles
@@ -20,16 +21,8 @@ import sys
 
 import numpy as np
 
-from .labels import _perm_array
+__all__ = ["solve_assignment", "brute_force_assignment"]
 
-__all__ = [
-    "solve_assignment",
-    "brute_force_assignment",
-    "assignment_value",
-    "inverse_permutation",
-]
-
-_SENSES = ("minimize", "maximize")
 _BRUTE_FORCE_MAX_K = 8
 
 
@@ -62,53 +55,29 @@ def _as_square_matrix(score) -> np.ndarray:
     return score
 
 
-def _check_sense(sense: str) -> None:
-    if sense not in _SENSES:
-        raise ValueError(f"sense must be one of {_SENSES}, got {sense!r}")
-
-
-def solve_assignment(score, sense: str = "minimize") -> np.ndarray:
-    """Permutation optimizing sum(score[k, perm[k]]) in the given sense.
+def solve_assignment(score) -> np.ndarray:
+    """Permutation minimizing sum(score[k, perm[k]]).
 
     Returns a 1-based int array: row k is matched to column perm[k-1].
     The achieved objective equals the exhaustive optimum; when several
     permutations tie, which one is returned depends only on the input
     (no internal randomness).
     """
-    score = _as_square_matrix(score)
-    _check_sense(sense)
-    _, cols = _linear_sum_assignment(score, maximize=sense == "maximize")
+    _, cols = _linear_sum_assignment(_as_square_matrix(score))
     return cols + 1
 
 
-def brute_force_assignment(score, sense: str = "minimize") -> np.ndarray:
+def brute_force_assignment(score) -> np.ndarray:
     """Exhaustive assignment oracle for K <= 8.
 
     Ties break deterministically: permutations are enumerated in
     lexicographic order and the first optimum wins.
     """
     score = _as_square_matrix(score)
-    _check_sense(sense)
     k = score.shape[0]
     if k > _BRUTE_FORCE_MAX_K:
         raise ValueError(f"brute force is limited to K <= {_BRUTE_FORCE_MAX_K}, got K={k}")
     perms = np.array(list(itertools.permutations(range(k))), dtype=np.int64)
     values = score[np.arange(k), perms].sum(axis=1)
-    best = values.min() if sense == "minimize" else values.max()
-    first = int(np.flatnonzero(values == best)[0])
-    return perms[first] + 1
+    return perms[np.argmin(values)] + 1
 
-
-def assignment_value(score, perm) -> float:
-    """Objective sum(score[k, perm[k]]) for a 1-based permutation of 1..K,
-    K the size of the finite square ``score``; anything else raises ``ValueError``."""
-    score = _as_square_matrix(score)
-    perm = _perm_array(perm)
-    if perm.size != score.shape[0]:
-        raise ValueError(f"perm must have {score.shape[0]} entries, got {perm.size}")
-    return float(score[np.arange(score.shape[0]), perm - 1].sum())
-
-
-def inverse_permutation(perm) -> np.ndarray:
-    """Inverse of a 1-based permutation; ``ValueError`` unless it holds each of 1..K once."""
-    return np.argsort(_perm_array(perm)) + 1

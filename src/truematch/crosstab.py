@@ -65,11 +65,9 @@ class MatchingTable:
             raise ValueError("table must contain at least one observation")
         counts = self.counts.astype(float)
         expected = np.outer(self.row_sums, self.col_sums).astype(float) / self.total
-        diff = counts - expected
-        positive = expected > 0.0
-        dev = np.where(positive, diff * diff / np.where(positive, expected, 1.0), 0.0)
-        signed = np.sign(diff) * dev
-        return _trusted(ResidualMatrix, expected=expected, dev=dev, signed=signed)
+        diff = counts - expected  # 0 wherever expected is 0 (an empty row or column): residual +0
+        signed = diff * np.abs(diff) / np.where(expected > 0.0, expected, 1.0)
+        return _trusted(ResidualMatrix, expected=expected, dev=np.abs(signed), signed=signed)
 
 
 @dataclass(frozen=True)

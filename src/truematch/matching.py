@@ -16,8 +16,10 @@ All matchers draw from a caller-owned generator.  An initial random
 row/column shuffle of the table decides between co-optimal assignments,
 and explicit uniform draws order tied matched pairs.  Given the same
 table and generator state, results are reproducible bit for bit.  At
-K=2 the matchers pick, order and present the two pairs on Python scalars,
-with the same float operations: no solver call, lexsort or fancy indexing.
+K >= 3 the solver minimizes the negated shuffled score.  At K=2 the
+matchers make that solver's decision on the negated score, and order and
+present the two pairs, on Python scalars with the same float operations:
+no solver call, lexsort or fancy indexing.
 
 The shuffle makes that choice equivariant: relabelling the table's rows
 or columns relabels the distribution of assignments the same way, so
@@ -44,9 +46,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .assignment import inverse_permutation, solve_assignment
+from .assignment import solve_assignment
 from .crosstab import MatchingTable, ResidualMatrix, residuals
-from .labels import _trusted
+from .labels import _perm_array, _trusted
 
 __all__ = [
     "MatchResult",
@@ -166,8 +168,8 @@ def _match_by_assignment(method: str, table: MatchingTable, score: np.ndarray, r
     trace = {"row_shuffle": row_shuffle.tolist(), "col_shuffle": col_shuffle.tolist(), "pair_draws": draws.tolist()}
     # pairs are reported by the score the assignment maximized, ties by draw
     if k == 2:
-        # The compiled solver's own decision on the shuffled 2x2 score a b / c d, in
-        # Python scalars: swap iff a + d < b + c, or on a tie iff a < b.
+        # The compiled solver's own decision on the negated shuffled 2x2 score -a -b / -c -d,
+        # in Python scalars: swap iff a + d < b + c, or on a tie iff a < b.
         (r0, r1), (c0, c1), u = trace.values()  # the two shuffles and the pair draws
         s = score.tolist()
         a, b, c, d = s[r0][c0], s[r0][c1], s[r1][c0], s[r1][c1]
@@ -176,7 +178,8 @@ def _match_by_assignment(method: str, table: MatchingTable, score: np.ndarray, r
         row_to_col, perm = np.array(to_col), np.array([c + 1 for c in to_col])  # a 2-permutation is its own inverse
         pair_order = np.array([1, 0] if (-s[1][to_col[1]], u[1]) < (-s[0][to_col[0]], u[0]) else [0, 1])
     else:
-        shuffled_cols = col_shuffle[solve_assignment(score[np.ix_(row_shuffle, col_shuffle)], "maximize") - 1]
+        shuffled = score[np.ix_(row_shuffle, col_shuffle)]  # a copy: the solver minimizes its negation
+        shuffled_cols = col_shuffle[solve_assignment(np.negative(shuffled, out=shuffled)) - 1]
         # Shuffled row i is original row row_shuffle[i]; likewise for columns.
         row_to_col = np.empty(k, dtype=np.int64)
         row_to_col[row_shuffle] = shuffled_cols
@@ -293,7 +296,7 @@ def aligned_table(table: MatchingTable, perm) -> MatchingTable:
     second labeling; rows keep their original identity.  ``perm`` must hold
     each of 1..table.k once, as ``MatchResult.perm`` does, else ``ValueError``.
     """
-    colmap = inverse_permutation(perm) - 1
+    colmap = np.argsort(_perm_array(perm))
     if colmap.size != table.k:
         raise ValueError(f"perm must have {table.k} entries, got {colmap.size}")
     return _trusted(MatchingTable, counts=table.counts[:, colmap])

@@ -107,14 +107,15 @@ def fictitious_cluster(truth, kappa: float, rng: np.random.Generator, p: float |
     times that class's marginal rate, else flips to the other class.  At
     kappa = 1 the output equals the truth; at kappa = 0 the assignment is
     random but marginal-preserving.  ``p`` is the class-2 rate of the
-    full population; it defaults to the rate observed in ``truth`` and
-    should be passed explicitly when judging a subset.
+    full population, in [0, 1]; it defaults to the rate observed in
+    ``truth`` and should be passed explicitly when judging a subset.
     """
     labels = _label_array(truth, 2, "truth")
-    if not 0.0 <= kappa <= 1.0:
-        raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
     if p is None:
         p = float((labels == 2).mean())
+    for name, value in (("kappa", kappa), ("p", p)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
     keep = kappa + (1.0 - kappa) * np.where(labels == 1, 1.0 - p, p)
     stay = rng.uniform(size=labels.size) < keep
     return _trusted(LabelVector, labels=np.where(stay, labels, 3 - labels), n_clusters=2)

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -8,28 +9,30 @@ import numpy as np
 import pytest
 
 import truematch
-from truematch import (
-    assignment_value,
-    brute_force_assignment,
-    inverse_permutation,
-    solve_assignment,
-)
+from truematch import brute_force_assignment, solve_assignment
+from truematch.assignment import _linear_sum_assignment
+
+
+def objective(score, perm):
+    """sum(score[k, perm[k]]) for a 1-based permutation."""
+    score = np.asarray(score, dtype=float)
+    return float(score[np.arange(len(score)), np.asarray(perm) - 1].sum())
 
 
 class TestSolveAssignment:
     def test_two_by_two_minimize(self):
-        perm = solve_assignment([[4, 1], [2, 3]], "minimize")
+        perm = solve_assignment([[4, 1], [2, 3]])
         assert perm.tolist() == [2, 1]
-        assert assignment_value([[4, 1], [2, 3]], perm) == 3
+        assert objective([[4, 1], [2, 3]], perm) == 3
 
     def test_dominant_diagonal_maximize(self):
         k = 6
-        perm = solve_assignment(np.eye(k), "maximize")
+        perm = solve_assignment(-np.eye(k))
         assert perm.tolist() == list(range(1, k + 1))
-        assert assignment_value(np.eye(k), perm) == k
+        assert objective(np.eye(k), perm) == k
 
     def test_single_element(self):
-        assert solve_assignment([[5.0]], "maximize").tolist() == [1]
+        assert solve_assignment([[5.0]]).tolist() == [1]
 
     def test_oracle_equivalence_random(self):
         rng = np.random.default_rng(71)
@@ -45,43 +48,54 @@ class TestSolveAssignment:
                 ternary = rng.integers(-1, 2, size=(k, k)).astype(float)
                 scores += [ternary, ternary[rng.integers(k, size=k)]]  # the second repeats rows
         for score in scores:
-            for sense in ("minimize", "maximize"):
-                fast = solve_assignment(score, sense)
-                slow = brute_force_assignment(score, sense)
+            for signed in (score, -score):  # minimum and maximum
+                fast = solve_assignment(signed)
+                slow = brute_force_assignment(signed)
                 assert sorted(fast.tolist()) == list(range(1, len(score) + 1))
-                assert assignment_value(score, fast) == assignment_value(score, slow)
+                assert objective(signed, fast) == objective(signed, slow)
 
     def test_float_scores(self):
         rng = np.random.default_rng(8)
         for _ in range(40):
             k = int(rng.integers(2, 7))
             score = rng.normal(size=(k, k))
-            fast = solve_assignment(score, "minimize")
-            slow = brute_force_assignment(score, "minimize")
-            assert assignment_value(score, fast) == pytest.approx(
-                assignment_value(score, slow), rel=0, abs=1e-12
-            )
+            fast = solve_assignment(score)
+            slow = brute_force_assignment(score)
+            assert objective(score, fast) == pytest.approx(objective(score, slow), rel=0, abs=1e-12)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             solve_assignment([[1, 2, 3], [4, 5, 6]])
         with pytest.raises(ValueError):
             solve_assignment([[np.inf, 1], [1, 2]])
-        with pytest.raises(ValueError):
-            solve_assignment([[1, 2], [3, 4]], sense="upward")
-        with pytest.raises(ValueError, match="perm must have 2 entries, got 3"):
-            assignment_value(np.eye(2), [1, 2, 3])
         with pytest.raises(ValueError, match="square"):
-            assignment_value([[1, 2, 3]], [1])
+            brute_force_assignment([[1, 2, 3]])
 
     def test_max_equals_min_of_negated(self):
         rng = np.random.default_rng(15)
         for _ in range(30):
             k = int(rng.integers(2, 7))
             score = rng.uniform(-50, 50, (k, k))
-            hi = assignment_value(score, solve_assignment(score, "maximize"))
-            lo = assignment_value(-score, solve_assignment(-score, "minimize"))
+            hi = max(objective(score, np.array(p) + 1) for p in itertools.permutations(range(k)))
+            lo = objective(-score, solve_assignment(-score))
             assert hi == pytest.approx(-lo, abs=1e-9)
+
+    def test_negated_score_picks_what_maximize_picked(self):
+        # the matchers solve the negated score where they once passed maximize=True;
+        # tie-heavy and all-zero scores (negated: -0) must pick the same columns too
+        rng = np.random.default_rng(33)
+        for k in range(2, 9):
+            scores = [np.zeros((k, k))]
+            for _ in range(40):
+                ternary = rng.integers(-1, 2, size=(k, k)).astype(float)
+                scores += [ternary, ternary[rng.integers(k, size=k)], rng.integers(0, 3, size=(k, k)).astype(float)]
+            for score in scores:
+                expected = _linear_sum_assignment(score, maximize=True)[1] + 1
+                assert solve_assignment(-score).tolist() == expected.tolist(), score
+        with pytest.raises(TypeError):
+            solve_assignment([[1.0, 2.0], [3.0, 4.0]], "maximize")
+        with pytest.raises(TypeError):
+            brute_force_assignment([[1.0]], sense="maximize")
 
     def test_row_and_column_shift_invariance(self):
         # adding a constant to a full row or column shifts the objective by
@@ -94,46 +108,30 @@ class TestSolveAssignment:
             row, col = int(rng.integers(k)), int(rng.integers(k))
             shifted[row, :] += 7.0
             shifted[:, col] -= 3.0
-            base_opt = assignment_value(score, brute_force_assignment(score, "minimize"))
-            new_opt = assignment_value(shifted, solve_assignment(shifted, "minimize"))
+            base_opt = objective(score, brute_force_assignment(score))
+            new_opt = objective(shifted, solve_assignment(shifted))
             assert new_opt == pytest.approx(base_opt + 7.0 - 3.0, abs=1e-9)
             # the returned optimum of the shifted problem is optimal for the
             # original too
-            back = assignment_value(score, solve_assignment(shifted, "minimize"))
+            back = objective(score, solve_assignment(shifted))
             assert back == pytest.approx(base_opt, abs=1e-9)
 
 
 class TestBruteForce:
     def test_single(self):
-        assert brute_force_assignment([[3.0]], "minimize").tolist() == [1]
+        assert brute_force_assignment([[3.0]]).tolist() == [1]
 
     def test_both_permutations_considered(self):
-        assert assignment_value([[4, 1], [2, 3]], brute_force_assignment([[4, 1], [2, 3]])) == 3
+        assert objective([[4, 1], [2, 3]], brute_force_assignment([[4, 1], [2, 3]])) == 3
 
     def test_total_tie_returns_lexicographically_smallest(self):
         score = np.zeros((4, 4))
-        assert brute_force_assignment(score, "maximize").tolist() == [1, 2, 3, 4]
-        assert brute_force_assignment(score, "minimize").tolist() == [1, 2, 3, 4]
+        assert brute_force_assignment(-score).tolist() == [1, 2, 3, 4]
+        assert brute_force_assignment(score).tolist() == [1, 2, 3, 4]
 
     def test_k_guard(self):
         with pytest.raises(ValueError):
             brute_force_assignment(np.zeros((9, 9)))
-
-
-class TestPermutationHelpers:
-    def test_inverse(self):
-        perm = np.array([3, 1, 2])
-        inv = inverse_permutation(perm)
-        assert inv.tolist() == [2, 3, 1]
-        assert inverse_permutation(inv).tolist() == perm.tolist()
-
-    def test_is_permutation(self):
-        # the permutation check lives in inverse_permutation: it accepts each
-        # of 1..K once and raises ValueError on anything else
-        assert inverse_permutation([2, 1, 3]).tolist() == [2, 1, 3]
-        for bad in ([1, 1, 3], [[1, 2]]):
-            with pytest.raises(ValueError):
-                inverse_permutation(bad)
 
 
 def test_compiled_solver_loads_without_scipy_optimize():
@@ -164,7 +162,7 @@ def test_polynomial_runtime_scaling():
         for _ in range(3):
             score = rng.uniform(-100.0, 100.0, (k, k))
             start = time.perf_counter()
-            solve_assignment(score, "maximize")
+            solve_assignment(-score)
             times.append(time.perf_counter() - start)
         return min(times)
 

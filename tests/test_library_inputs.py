@@ -29,7 +29,7 @@ from truematch import (
     build_truth,
     canonical_pair,
     crosstab,
-    inverse_permutation,
+    fictitious_cluster,
     majority_labels,
     mmcc_run,
     outlier_scenario,
@@ -51,7 +51,6 @@ CALLS = {
     "LabelVector": lambda x: LabelVector(x, 5),
     "apply_permutation-vector": lambda x: apply_permutation(x, [2, 1, 3, 5, 4]),
     "apply_permutation-perm": lambda x: apply_permutation([1, 2, 1], x),
-    "inverse_permutation": inverse_permutation,
     "aligned_table": lambda x: aligned_table(MatchingTable([[3, 1], [0, 2]]), x),
     "MatchingTable": MatchingTable,
     "majority_labels": lambda x: majority_labels(x, np.random.default_rng(0)),
@@ -165,3 +164,10 @@ def test_resample_indices_outside_the_data_rejected(picks, message):
     # a negative index would read a row from the end, one past the end would fail unlocated
     with pytest.raises(ValueError, match=f"resample_indices must be {message}"):
         LloydClusterer().fit(POINTS, picks, 2, _rng())
+
+
+@pytest.mark.parametrize("p", [math.nan, -0.5, 1.5, math.inf], ids=["nan", "-0.5", "1.5", "inf"])
+def test_class_rate_outside_the_unit_interval_rejected(p):
+    # a rate outside [0, 1] gives keep probabilities outside it: NaN flips every case
+    with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\], got "):
+        fictitious_cluster([1, 1, 2, 2, 1, 2], 0.5, _rng(), p=p)
