@@ -50,7 +50,7 @@ def _as_square_matrix(score) -> np.ndarray:
     score = np.asarray(score, dtype=float)
     if score.ndim != 2 or score.shape[0] != score.shape[1] or score.shape[0] == 0:
         raise ValueError(f"score must be a non-empty square matrix, got shape {score.shape}")
-    if not np.all(np.isfinite(score)):
+    if not np.isfinite(score).all():
         raise ValueError("score matrix contains non-finite entries")
     return score
 

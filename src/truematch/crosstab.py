@@ -26,7 +26,7 @@ class MatchingTable:
     """Square table of co-assignment counts between two labelings.
 
     Rows index the first labeling's clusters, columns the second's; counts total at most ``MAX_TOTAL``.
-    ``counts`` is a read-only copy; marginals, total and residuals are computed once.
+    ``counts`` is a read-only copy; marginals, total and residuals (at K=2 also as Python floats) are computed once.
     """
 
     counts: np.ndarray
@@ -68,6 +68,21 @@ class MatchingTable:
         diff = counts - expected  # 0 wherever expected is 0 (an empty row or column): residual +0
         signed = diff * np.abs(diff) / np.where(expected > 0.0, expected, 1.0)
         return _trusted(ResidualMatrix, expected=expected, dev=np.abs(signed), signed=signed)
+
+    @cached_property
+    def _signed_k2(self) -> list[list[float]]:
+        # a 2x2 table's residuals().signed as Python floats, by _residuals' float operations
+        (a, b), (c, d) = self.counts.tolist()
+        total = a + b + c + d
+        if total < 1:
+            raise ValueError("table must contain at least one observation")
+        e = [float(r * s) / total for r in (a + b, c + d) for s in (a + c, b + d)]
+        return [[_signed(a, e[0]), _signed(b, e[1])], [_signed(c, e[2]), _signed(d, e[3])]]
+
+
+def _signed(n: int, e: float) -> float:
+    d = n - e  # 0 wherever e is 0 (an empty row or column): residual +0
+    return d * abs(d) / (e if e > 0 else 1.0)
 
 
 @dataclass(frozen=True)

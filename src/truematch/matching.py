@@ -19,7 +19,9 @@ table and generator state, results are reproducible bit for bit.  At
 K >= 3 the solver minimizes the negated shuffled score.  At K=2 the
 matchers make that solver's decision on the negated score, and order and
 present the two pairs, on Python scalars with the same float operations:
-no solver call, lexsort or fancy indexing.
+no solver call, lexsort or fancy indexing.  The residual matchers' K=2
+score is the table's signed residuals as Python floats, computed once per
+table and bit for bit ``residuals(table).signed``, which is built on read.
 
 The shuffle makes that choice equivariant: relabelling the table's rows
 or columns relabels the distribution of assignments the same way, so
@@ -137,8 +139,9 @@ class MatchResult:
     def _presentation(self) -> tuple[np.ndarray, np.ndarray, MatchingTable]:
         # row_order, col_order and matched_table, in order (count desc, signed desc, pair draw)
         if self.table.k == 2:  # one tuple comparison on Python scalars, no lexsort or fancy indexing
-            n, s, u, to_col = (x.tolist() for x in (self.table.counts, self.residuals.signed, self.pair_draws, self.row_to_col))
-            first, second = ((-n[r][to_col[r]], -s[r][to_col[r]], u[r]) for r in (0, 1))
+            # two matched cells of equal count have equal margin products, so equal signed residuals
+            n, u, to_col = (x.tolist() for x in (self.table.counts, self.pair_draws, self.row_to_col))
+            first, second = ((-n[r][to_col[r]], u[r]) for r in (0, 1))
             rows = [1, 0] if second < first else [0, 1]
             cols = [to_col[r] for r in rows]
             matched = _trusted(MatchingTable, counts=np.array([[n[r][c] for c in cols] for r in rows]))
@@ -162,7 +165,8 @@ class MatchResult:
         )
 
 
-def _match_by_assignment(method: str, table: MatchingTable, score: np.ndarray, rng: np.random.Generator) -> MatchResult:
+def _match_by_assignment(method: str, table: MatchingTable, score, rng: np.random.Generator) -> MatchResult:
+    # score: a K x K float array, or at K=2 its rows as a list of Python scalars
     k = table.k
     row_shuffle, col_shuffle, draws = rng.permutation(k), rng.permutation(k), rng.uniform(size=k)
     trace = {"row_shuffle": row_shuffle.tolist(), "col_shuffle": col_shuffle.tolist(), "pair_draws": draws.tolist()}
@@ -171,12 +175,11 @@ def _match_by_assignment(method: str, table: MatchingTable, score: np.ndarray, r
         # The compiled solver's own decision on the negated shuffled 2x2 score -a -b / -c -d,
         # in Python scalars: swap iff a + d < b + c, or on a tie iff a < b.
         (r0, r1), (c0, c1), u = trace.values()  # the two shuffles and the pair draws
-        s = score.tolist()
-        a, b, c, d = s[r0][c0], s[r0][c1], s[r1][c0], s[r1][c1]
+        a, b, c, d = score[r0][c0], score[r0][c1], score[r1][c0], score[r1][c1]
         swap = a + d < b + c or (a + d == b + c and a < b)
         to_col = [1, 0] if (r0 != c0) != swap else [0, 1]  # row r0 takes c1 on a swap, else c0
         row_to_col, perm = np.array(to_col), np.array([c + 1 for c in to_col])  # a 2-permutation is its own inverse
-        pair_order = np.array([1, 0] if (-s[1][to_col[1]], u[1]) < (-s[0][to_col[0]], u[0]) else [0, 1])
+        pair_order = np.array([1, 0] if (-score[1][to_col[1]], u[1]) < (-score[0][to_col[0]], u[0]) else [0, 1])
     else:
         shuffled = score[np.ix_(row_shuffle, col_shuffle)]  # a copy: the solver minimizes its negation
         shuffled_cols = col_shuffle[solve_assignment(np.negative(shuffled, out=shuffled)) - 1]
@@ -197,14 +200,14 @@ def match_tracemax(table: MatchingTable, rng: np.random.Generator) -> MatchResul
     """
     if table.total < 1:
         raise ValueError("table must contain at least one observation")
-    return _match_by_assignment(TRACEMAX, table, table.counts.astype(float), rng)
+    return _match_by_assignment(TRACEMAX, table, table.counts.tolist() if table.k == 2 else table.counts.astype(float), rng)
 
 
 def match_truematch(table: MatchingTable, rng: np.random.Generator) -> MatchResult:
     """Residual matching: shuffle, transform counts to signed residuals,
     maximize the residual trace exactly, order pairs by residual with
     random tie-break."""
-    return _match_by_assignment(TRUEMATCH, table, residuals(table).signed, rng)
+    return _match_by_assignment(TRUEMATCH, table, table._signed_k2 if table.k == 2 else residuals(table).signed, rng)
 
 
 def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) -> MatchResult:
@@ -222,7 +225,7 @@ def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) ->
     pair_order = np.empty(k, dtype=np.int64)
     sel_signed = np.zeros(k)
     tie_draws: list[int] = []
-    sub, signed = table.counts, residuals(table).signed
+    sub, signed = table.counts, table._signed_k2 if k == 2 else residuals(table).signed
     if k > 2:
         # The live n x n subtable is cf[:n, :n] with margins rs[:n], cs[:n].  Floats hold
         # integers below 2**53 exactly, so d * |d| / E is bit for bit residuals()' value.
@@ -238,7 +241,7 @@ def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) ->
             signed *= np.abs(signed, out=absdiff[: n * n].reshape(n, n))
             signed /= e
         if k == 2:  # the one step on Python scalars: the cells maximal by (residual, count)
-            cells = list(zip(signed.ravel().tolist(), sub.ravel().tolist()))
+            cells = list(zip(signed[0] + signed[1], sub.ravel().tolist()))
             flat = [i for i, cell in enumerate(cells) if cell == max(cells)]
         else:
             flat = np.flatnonzero(signed == signed.max())
@@ -251,7 +254,7 @@ def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) ->
         r, c = divmod(pick, n)
         row = live_rows.pop(r)
         row_to_col[row] = live_cols.pop(c)
-        sel_signed[row] = signed[r, c]
+        sel_signed[row] = signed[r][c]
         pair_order[step] = row
         if n > 2:  # drop row r and column c, keeping the order of the rest
             rs[:n], cs[:n] = rs[:n] - cf[:n, c], cs[:n] - cf[r, :n]

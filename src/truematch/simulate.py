@@ -116,7 +116,7 @@ def fictitious_cluster(truth, kappa: float, rng: np.random.Generator, p: float |
     for name, value in (("kappa", kappa), ("p", p)):
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    keep = kappa + (1.0 - kappa) * np.where(labels == 1, 1.0 - p, p)
+    keep = np.where(labels == 1, kappa + (1.0 - kappa) * (1.0 - p), kappa + (1.0 - kappa) * p)
     stay = rng.uniform(size=labels.size) < keep
     return _trusted(LabelVector, labels=np.where(stay, labels, 3 - labels), n_clusters=2)
 
@@ -166,6 +166,7 @@ def simulate_cell(cfg: SimulationConfig) -> CellResult:
     size_target = (n - heavy, heavy)
 
     votes = np.zeros((n, 2), dtype=np.int64)
+    voted = np.zeros(n, dtype=bool)  # the cases with at least one vote
     accepted = 0
     while accepted < cfg.rounds:
         for _ in range(REDRAW_BUDGET):
@@ -180,7 +181,7 @@ def simulate_cell(cfg: SimulationConfig) -> CellResult:
             if accepted == 0:
                 aligned = judged.labels
                 break
-            has_votes = votes[in_bag].sum(axis=1) > 0
+            has_votes = voted[in_bag]
             if not has_votes.any():
                 continue
             ref_cases = in_bag[has_votes]
@@ -194,9 +195,9 @@ def simulate_cell(cfg: SimulationConfig) -> CellResult:
         else:
             break  # redraw budget exhausted: the cell is starved
         votes[in_bag, aligned[in_bag] - 1] += 1
+        voted[in_bag] = True
         accepted += 1
 
-    voted = votes.sum(axis=1) > 0
     if voted.any():
         active = votes[voted]
         stats = cic_stats(ProbMatrix(active / active.sum(axis=1, keepdims=True)))

@@ -1,5 +1,6 @@
 import copy
 import importlib
+import itertools
 import pickle
 
 import numpy as np
@@ -228,6 +229,47 @@ def same_bits(x, y):
     return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
 
 
+class TestSignedK2:
+    """The K=2 matchers' Python-float residuals against the numpy matrix, bit for bit."""
+
+    @staticmethod
+    def assert_same_bytes(table):
+        assert np.array(table._signed_k2).tobytes() == residuals(table).signed.tobytes()
+
+    def test_every_small_table(self):
+        tables = 0
+        for counts in itertools.product(range(13), repeat=4):
+            if any(counts):
+                table = MatchingTable(np.reshape(counts, (2, 2)))
+                self.assert_same_bytes(table)
+                tables += 1
+                # the K=2 presentation relies on it: matched cells of equal count carry equal residuals
+                (a, b), (c, d) = table._signed_k2
+                assert (a == d) >= (counts[0] == counts[3]) and (b == c) >= (counts[1] == counts[2])
+        assert tables == 28_560
+
+    def test_random_tables_up_to_the_total_bound(self):
+        rng = np.random.default_rng(2007)
+        for _ in range(3000):
+            total = int(rng.integers(1, MAX_TOTAL, endpoint=True))
+            cuts = np.sort(rng.integers(0, total, size=3, endpoint=True))
+            counts = np.diff(cuts, prepend=0, append=total).reshape(2, 2)  # four cells summing to total
+            empty = int(rng.integers(8))  # 0, 1: an empty row (expectation 0); 2, 3: an empty column
+            if empty < 2:
+                counts[empty] = 0
+            elif empty < 4:
+                counts[:, empty - 2] = 0
+            if counts.sum():
+                self.assert_same_bytes(MatchingTable(counts))
+        self.assert_same_bytes(MatchingTable([[MAX_TOTAL - 2, 1], [1, 0]]))
+
+    def test_zero_table_fails_on_every_call(self):
+        table = MatchingTable([[0, 0], [0, 0]])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="at least one observation"):
+                table._signed_k2
+
+
 class TestImmutableTable:
     def test_residuals_computed_once_per_table(self):
         table = MatchingTable([[3, 1], [0, 2]])
@@ -314,7 +356,16 @@ class TestImmutableTable:
         assert result.residuals is residuals(table)
         assert result.pair_signed.tolist() == residuals(table).signed[[0, 1], result.row_to_col].tolist()
 
-    def test_truematch_computes_residuals_to_match(self):
-        table = crosstab([1, 1, 2, 2, 2], [2, 2, 1, 1, 2])
-        match_truematch(table, np.random.default_rng(0))
-        assert "_residuals" in table.__dict__
+    def test_truematch_builds_residuals_on_read_at_k2(self):
+        # at K=2 both residual matchers score and present on the table's Python floats
+        for matcher in (match_truematch, match_truematch_heuristic):
+            table = crosstab([1, 1, 2, 2, 2], [2, 2, 1, 1, 2])
+            result = matcher(table, np.random.default_rng(0))
+            assert result.perm.tolist() == [2, 1] and result.matched_table.counts.tolist() == [[2, 1], [0, 2]]
+            assert "_residuals" not in table.__dict__
+            assert result.residuals is residuals(table) and "_residuals" in table.__dict__
+            assert same_bits(result.residuals.signed, np.array(table._signed_k2))
+        for matcher in (match_truematch, match_truematch_heuristic):  # K >= 3 scores on the numpy matrix
+            table = crosstab([1, 1, 2, 2, 3, 3], [2, 2, 1, 1, 3, 3])
+            matcher(table, np.random.default_rng(0))
+            assert "_residuals" in table.__dict__
