@@ -192,6 +192,7 @@ class LloydClusterer:
     rows only, copies their owners to the resample's rows and sums those in resample order.  The
     fit ends only at a repeated assignment, whose update would reproduce the centroids exactly,
     or at the ``iterations`` cap.  No tolerance decides, so where the data sit does not either.
+    The cap can come first, unreported: 2 of 400 fits on a 2,000-point mixture stopped there.
     """
 
     def __init__(self, iterations: int = 25):

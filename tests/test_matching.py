@@ -408,14 +408,16 @@ def reference_heuristic(table, rng):
 
 def assert_heuristic_matches_reference(counts, seed):
     table = MatchingTable(counts)
-    res = match_truematch_heuristic(table, np.random.default_rng(seed))
-    perm, tie_draws, draws, pair_order, pair_signed = reference_heuristic(table, np.random.default_rng(seed))
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    res = match_truematch_heuristic(table, rng)
+    perm, tie_draws, draws, pair_order, pair_signed = reference_heuristic(table, reference_rng)
     assert res.perm.tolist() == perm.tolist()
     k = table.k
     cells = k * (k + 1) * (2 * k + 1) // 6 - 1
     assert res.seed_trace == {"tie_draws": tie_draws, "residual_cells": cells, "pair_draws": draws.tolist()}
     assert res.pair_order.tobytes() == pair_order.tobytes()
     assert res.pair_signed.tobytes() == pair_signed.tobytes()  # signed zeros included
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 @st.composite
@@ -432,6 +434,35 @@ def heuristic_tables(draw):
         counts[cut:, cut:] = 0
     assume(counts.sum() > 0)
     return counts
+
+
+@st.composite
+def mostly_zero_tables(draw):
+    """K=3-40 tables, from dense to mostly zero, so that the heuristic starts on either
+    pass: few values (ties), zero-padded rows and columns, and a zero block, whose
+    subtables run out of positive residuals mid-run and hand over to the dense pass."""
+    k = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nonzero = rng.uniform(size=(k, k)) < draw(st.sampled_from([0.05, 0.15, 0.3, 0.45, 0.55, 0.8]))
+    counts = nonzero * rng.choice(draw(st.sampled_from([(1,), (1, 2), (1, 3, 7), (1, 2, 50)])), (k, k))
+    counts[k - draw(st.integers(0, k // 3)) :] = 0  # zero-padded last rows
+    counts[:, k - draw(st.integers(0, k // 3)) :] = 0  # and columns
+    if draw(st.booleans()):
+        cut = draw(st.integers(1, k - 1))
+        counts[cut:, cut:] = 0
+    assume(counts.sum() > 0)
+    return counts
+
+
+def large_k_table(k, planted, seed, n=50_000):
+    """An N=50,000 table of two labelings drawn as in perfbench's match_large_k."""
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, k, n)
+    b = rng.permutation(k)[a] if planted else rng.integers(0, k, n)
+    if planted:
+        redraw = rng.uniform(size=n) < 0.7
+        b[redraw] = rng.integers(0, k, int(redraw.sum()))
+    return crosstab(a + 1, b + 1, k).counts
 
 
 class TestHeuristic:
@@ -458,6 +489,24 @@ class TestHeuristic:
     @given(heuristic_tables(), st.integers(0, 2**32 - 1))
     def test_equals_per_subtable_reference(self, counts, seed):
         assert_heuristic_matches_reference(counts, seed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mostly_zero_tables(), st.integers(0, 2**32 - 1))
+    def test_mostly_zero_tables_equal_per_subtable_reference(self, counts, seed):
+        assert_heuristic_matches_reference(counts, seed)
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["half-nonzero", "one-more"])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_start_rule_boundary_equals_per_subtable_reference(self, extra, seed):
+        # at K=20, exactly half the cells nonzero starts on the nonzero cells; one more starts dense
+        rng = np.random.default_rng(seed)
+        counts = np.zeros(400, dtype=np.int64)
+        counts[rng.permutation(400)[: 200 + extra]] = rng.integers(1, 4, 200 + extra)
+        assert_heuristic_matches_reference(counts.reshape(20, 20), seed)
+
+    @pytest.mark.parametrize("k, planted", [(200, False), (400, False), (400, True)])
+    def test_large_k_equals_per_subtable_reference(self, k, planted):
+        assert_heuristic_matches_reference(large_k_table(k, planted, seed=k + planted), seed=11)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_sparse_k120_equals_per_subtable_reference(self, seed):
