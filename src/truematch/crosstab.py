@@ -26,7 +26,8 @@ class MatchingTable:
     """Square table of co-assignment counts between two labelings.
 
     Rows index the first labeling's clusters, columns the second's; counts total at most ``MAX_TOTAL``.
-    ``counts`` is a read-only copy; marginals, total and residuals (at K=2 also as Python floats) are computed once.
+    ``counts`` is a read-only copy.  Computed once per table: marginals, total, residuals (at K=2 also as
+    Python floats) and, at K=2, the counts as Python ints and each of the at most four match presentations.
     """
 
     counts: np.ndarray
@@ -78,6 +79,11 @@ class MatchingTable:
             raise ValueError("table must contain at least one observation")
         e = [float(r * s) / total for r in (a + b, c + d) for s in (a + c, b + d)]
         return [[_signed(a, e[0]), _signed(b, e[1])], [_signed(c, e[2]), _signed(d, e[3])]]
+
+    @cached_property
+    def _k2(self) -> tuple[list[list[int]], dict]:
+        # a 2x2 table's counts as Python ints, and its presentations by (first row, its column), built on first use
+        return self.counts.tolist(), {}
 
 
 def _signed(n: int, e: float) -> float:

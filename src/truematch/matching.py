@@ -35,7 +35,9 @@ pair presented first occupies cell (1, 1), the second (2, 2), and so on,
 with presentation order (count desc, signed residual desc, random draw).
 For a table of two 99:1 labelings with mismatched singletons this yields
 the two off-diagonal orientations with equal probability, so averaging
-matched tables over random data shows no systematic diagonal.  ``perm``
+matched tables over random data shows no systematic diagonal.  A 2x2
+table has at most four presentations; each is built on its first read
+and shared by every later match of the same table.  ``perm``
 is the plain column relabeling that aligns the second labeling to the
 first; use it (not the presentation) to compose matchings.
 """
@@ -50,7 +52,7 @@ import numpy as np
 
 from .assignment import solve_assignment
 from .crosstab import MatchingTable, ResidualMatrix, residuals
-from .labels import _perm_array, _trusted
+from .labels import _perm_array, _readonly, _trusted
 
 __all__ = [
     "MatchResult",
@@ -116,7 +118,8 @@ class MatchResult:
     row_order, col_order : ndarray, on read
         1-based original row/column of each presented pair, so
         ``matched_table.counts[i, j] == counts[row_order[i]-1, col_order[j]-1]``.
-        Built together with ``matched_table``; at K=2 from one tuple comparison.
+        Built together with ``matched_table``.  At K=2 one tuple comparison picks one of the table's
+        at most four presentations, built once per table: shared read-only arrays and table.
     """
 
     method: str
@@ -138,14 +141,15 @@ class MatchResult:
     @cached_property
     def _presentation(self) -> tuple[np.ndarray, np.ndarray, MatchingTable]:
         # row_order, col_order and matched_table, in order (count desc, signed desc, pair draw)
-        if self.table.k == 2:  # one tuple comparison on Python scalars, no lexsort or fancy indexing
+        if self.table.k == 2:  # one tuple comparison on Python scalars, then the table's cached presentation
             # two matched cells of equal count have equal margin products, so equal signed residuals
-            n, u, to_col = (x.tolist() for x in (self.table.counts, self.pair_draws, self.row_to_col))
-            first, second = ((-n[r][to_col[r]], u[r]) for r in (0, 1))
-            rows = [1, 0] if second < first else [0, 1]
-            cols = [to_col[r] for r in rows]
-            matched = _trusted(MatchingTable, counts=np.array([[n[r][c] for c in cols] for r in rows]))
-            return np.array([r + 1 for r in rows]), np.array([c + 1 for c in cols]), matched
+            (n, presented), u, to_col = self.table._k2, self.pair_draws.tolist(), self.row_to_col.tolist()
+            r = int((-n[1][to_col[1]], u[1]) < (-n[0][to_col[0]], u[0]))  # the row presented first
+            if (key := (r, to_col[r])) not in presented:
+                rows, cols = [r, 1 - r], [to_col[r], 1 - to_col[r]]
+                matched = _trusted(MatchingTable, counts=np.array([[n[i][j] for j in cols] for i in rows]))
+                presented[key] = _readonly(np.array(rows) + 1), _readonly(np.array(cols) + 1), matched
+            return presented[key]
         rows = np.arange(self.table.k)
         signed = self.residuals.signed[rows, self.row_to_col]
         counts = self.table.counts[rows, self.row_to_col]
@@ -275,8 +279,10 @@ def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) ->
                 signed *= np.abs(signed, out=absdiff[: n * n].reshape(n, n))
                 signed /= e
             if k == 2:  # the one step on Python scalars: the cells maximal by (residual, count)
-                cells = list(zip(signed[0] + signed[1], sub.ravel().tolist()))
-                flat = [i for i, cell in enumerate(cells) if cell == max(cells)]
+                (n0, n1), _ = table._k2
+                cells = list(zip(signed[0] + signed[1], n0 + n1))
+                top = max(cells)
+                flat = [i for i, cell in enumerate(cells) if cell == top]
             else:
                 flat = np.flatnonzero(signed == signed.max())
                 if flat.size > 1:
@@ -308,7 +314,7 @@ def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) ->
     row_to_col[live_rows[0]] = live_cols[0]
     pair_order[k - 1] = live_rows[0]
 
-    perm = np.argsort(row_to_col) + 1
+    perm = row_to_col + 1 if k == 2 else np.argsort(row_to_col) + 1  # a 2-permutation is its own inverse
     # the residual cells of every subtable from k x k down to 2 x 2, computed or not
     trace = {"tie_draws": tie_draws, "residual_cells": k * (k + 1) * (2 * k + 1) // 6 - 1}
     draws = rng.uniform(size=k)

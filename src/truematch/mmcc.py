@@ -203,13 +203,14 @@ class LloydClusterer:
         pts = np.asarray(data, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
-        if pts.ndim != 2 or pts.shape[0] == 0:
+        if pts.ndim != 2 or 0 in pts.shape:
             raise ValueError("data must be an (N, d) array of numeric features")
         if not (np.abs(pts) <= MAX_MAGNITUDE).all():  # NaN fails the comparison too
             raise ValueError(f"data must be finite and within ±{MAX_MAGNITUDE:g}")
         return pts
 
     def fit(self, data, resample_indices, k: int, rng: np.random.Generator) -> np.ndarray:
+        k = _whole(k, "k", 0, 1)
         pts = self._as_points(data)
         picks = _whole(resample_indices, "resample_indices", 1, 0)
         if (picks >= pts.shape[0]).any():

@@ -341,6 +341,20 @@ class TestImmutableTable:
         assert same_bits(residuals(copied).signed, original.signed)
 
     @COPIERS
+    def test_copies_start_with_an_empty_presentation_slot(self, copier):
+        table = MatchingTable([[2, 2], [2, 2]])  # all four presentations reachable
+        for seed in range(16):
+            match_truematch(table, np.random.default_rng(seed)).matched_table
+        copied = copier(table)
+        assert "_k2" in table.__dict__ and "_k2" not in copied.__dict__
+        for seed in range(16):
+            got = match_truematch(copied, np.random.default_rng(seed))
+            want = match_truematch(table, np.random.default_rng(seed))
+            for read in (lambda r: r.row_order, lambda r: r.col_order, lambda r: r.matched_table.counts):
+                assert read(got).tolist() == read(want).tolist()
+        assert copied._k2[1].keys() == table._k2[1].keys() and len(table._k2[1]) == 4
+
+    @COPIERS
     def test_copies_are_read_only_label_vectors(self, copier):
         vector = LabelVector([2, 1, 3, 1], 4)
         copied = copier(vector)

@@ -118,6 +118,7 @@ SCALAR_INTEGER_CALLS = {
     "build_truth": ("n_cases", 2, 4, lambda x: build_truth(x, 0.5)),
     "LloydClusterer-iterations": ("iterations", 1, 2,
                                   lambda x: LloydClusterer(x).fit(POINTS, range(6), 2, _rng())),
+    "LloydClusterer.fit-k": ("k", 1, 2, lambda x: LloydClusterer().fit(POINTS, range(6), x, _rng())),
     "outlier_scenario-runs": ("runs", 1, 3, lambda x: outlier_scenario(x, "tracemax", _rng())),
     "outlier_scenario-n_cases": ("n_cases", 2, 5, lambda x: outlier_scenario(3, "tracemax", _rng(), n_cases=x)),
     "SimulationConfig-n_cases": ("n_cases", 2, 6, lambda x: _cell(n_cases=x)),
@@ -164,6 +165,18 @@ def test_resample_indices_outside_the_data_rejected(picks, message):
     # a negative index would read a row from the end, one past the end would fail unlocated
     with pytest.raises(ValueError, match=f"resample_indices must be {message}"):
         LloydClusterer().fit(POINTS, picks, 2, _rng())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: mmcc_run(np.zeros((5, 0)), 2, LloydClusterer(), "truematch", 3, _rng()),
+     lambda: LloydClusterer().predict(np.zeros((2, 0)), np.zeros((5, 0)))],
+    ids=["mmcc_run", "LloydClusterer.predict"],
+)
+def test_points_without_feature_columns_rejected(call):
+    # zero columns: every point is the same empty point, and every distance is 0
+    with pytest.raises(ValueError, match=r"^data must be an \(N, d\) array of numeric features$"):
+        call()
 
 
 @pytest.mark.parametrize("p", [math.nan, -0.5, 1.5, math.inf], ids=["nan", "-0.5", "1.5", "inf"])

@@ -577,6 +577,38 @@ class TestResultShape:
                 assert res.row_order.dtype == res.col_order.dtype == np.int64
 
     @pytest.mark.parametrize("matcher", ["tracemax", "truematch", "truematch-heuristic"])
+    def test_k2_presentation_cached_per_table(self, matcher):
+        # a reused 2x2 table presents each match as a fresh copy of it does, from shared read-only arrays
+        fn = resolve_matcher(matcher)
+        reached = set()
+        for table in two_by_two_tables(4):
+            reused_rng, fresh_rng = np.random.default_rng(5), np.random.default_rng(5)
+            for _ in range(12):
+                reused, fresh = fn(table, reused_rng), fn(MatchingTable(table.counts), fresh_rng)
+                assert reused.perm.tolist() == fresh.perm.tolist()
+                for got, want in ((reused.row_order, fresh.row_order), (reused.col_order, fresh.col_order),
+                                  (reused.matched_table.counts, fresh.matched_table.counts)):
+                    assert got.tolist() == want.tolist() and got.dtype == want.dtype == np.int64
+                    assert not got.flags.writeable and not want.flags.writeable
+                presented = reused._presentation
+                assert presented is reused._presentation  # repeated reads: the same objects
+                assert reused.matched_table is presented[2] and reused.row_order is presented[0]
+                again = table._k2[1][int(presented[0][0]) - 1, int(presented[1][0]) - 1]
+                assert all(a is b for a, b in zip(again, presented))  # the table's one copy of it
+            assert reused_rng.bit_generator.state == fresh_rng.bit_generator.state
+            assert len(table._k2[1]) <= 4
+            reached |= {(tuple(table.counts.ravel()), key) for key in table._k2[1]}
+        # all four presentations of the all-equal tables: both assignments, in both orders
+        for c in range(1, 5):
+            assert {key for cells, key in reached if cells == (c,) * 4} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+    def test_perm_only_match_leaves_presentation_slot_alone(self):
+        for fn in (match_tracemax, match_truematch):
+            table = MatchingTable([[98, 1], [1, 0]])
+            fn(table, np.random.default_rng(0)).perm
+            assert "_k2" not in table.__dict__
+
+    @pytest.mark.parametrize("matcher", ["tracemax", "truematch", "truematch-heuristic"])
     def test_reading_presentation_leaves_generator_alone(self, matcher):
         fn = resolve_matcher(matcher)
         for i, table in enumerate(presentation_tables()):

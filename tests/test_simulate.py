@@ -247,8 +247,10 @@ class TestOutlierScenario:
     def test_bit_identical_to_scoring_every_run(self, matcher, n_cases):
         for seed in range(3):
             for runs in (1, 7, 200):
-                got = outlier_scenario(runs, matcher, np.random.default_rng(seed), n_cases=n_cases)
-                want = reference_outlier_scenario(runs, matcher, np.random.default_rng(seed), n_cases)
+                got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = outlier_scenario(runs, matcher, got_rng, n_cases=n_cases)
+                want = reference_outlier_scenario(runs, matcher, want_rng, n_cases)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
                 assert got.table_share.tolist() == want.table_share.tolist()
                 for field in ("matcher", "runs", "diagonal", "kappa", "rand", "crand", "random_match_rate"):
                     assert getattr(got, field) == getattr(want, field), (field, seed, runs)
