@@ -2,9 +2,9 @@
 
 ``diagonal_fraction`` and ``cohen_kappa`` depend on how labels are aligned
 (they read the diagonal), while ``rand_index`` and ``adjusted_rand`` are
-invariant under any relabeling of either side.  Binomial terms are carried
-in exact integer arithmetic and converted to float only in the final ratio,
-so no product overflows within ``MatchingTable``'s bound, totals up to 3e9.
+invariant under any relabeling of either side.  A ``MatchingTable`` holds 1
+to 3e9 observations (the Rand indices need 2).  Binomial terms stay exact
+integers until the final ratio, so no product overflows within that bound.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ def _pair_counts(table: MatchingTable) -> tuple[int, int, int, int]:
     products of them stay exact where int64 would overflow.
     """
     n = table.total
+    if n < 2:
+        raise ValueError("rand index needs at least two observations")
     within = [(int(x @ x) - n) // 2 for x in (table.counts.ravel(), table.row_sums, table.col_sums)]
     return (*within, n * (n - 1) // 2)
 
@@ -32,8 +34,6 @@ def diagonal_fraction(table: MatchingTable) -> float:
     Not chance-corrected: its value depends entirely on how the second
     labeling's clusters were matched to the first's.
     """
-    if table.total < 1:
-        raise ValueError("table must contain at least one observation")
     return float(table.counts.trace() / table.total)
 
 
@@ -46,8 +46,6 @@ def cohen_kappa(table: MatchingTable) -> float:
     count table; it is reported as NaN as a defensive signal.)
     """
     n = table.total
-    if n < 1:
-        raise ValueError("table must contain at least one observation")
     p_obs = float(table.counts.trace()) / n
     p_exp = float((table.row_sums * table.col_sums).sum()) / (n * n)
     if p_exp == 1.0:
@@ -62,8 +60,6 @@ def rand_index(table: MatchingTable) -> float:
     (together in both or separated in both).  Invariant under label
     permutations of either side.
     """
-    if table.total < 2:
-        raise ValueError("rand index needs at least two observations")
     together_both, together_rows, together_cols, all_pairs = _pair_counts(table)
     return float(all_pairs + 2 * together_both - together_rows - together_cols) / all_pairs
 
@@ -76,8 +72,6 @@ def adjusted_rand(table: MatchingTable) -> float:
     singletons) returns 0.0 so Monte-Carlo sweeps never abort on
     degenerate draws.
     """
-    if table.total < 2:
-        raise ValueError("adjusted rand needs at least two observations")
     together_both, together_rows, together_cols, all_pairs = _pair_counts(table)
     expected = together_rows * together_cols / all_pairs
     denom = 0.5 * (together_rows + together_cols) - expected

@@ -25,7 +25,7 @@ MAX_TOTAL = 3 * 10**9  # the largest total: MAX_TOTAL**2 < 2**63, so int64 holds
 class MatchingTable:
     """Square table of co-assignment counts between two labelings.
 
-    Rows index the first labeling's clusters, columns the second's; counts total at most ``MAX_TOTAL``.
+    Rows index the first labeling's clusters, columns the second's; counts total 1 to ``MAX_TOTAL``, checked when made.
     ``counts`` is a read-only copy.  Computed once per table: marginals, total, residuals (at K=2 also as
     Python floats) and, at K=2, the counts as Python ints and each of the at most four match presentations.
     """
@@ -37,8 +37,10 @@ class MatchingTable:
         if counts.shape[0] != counts.shape[1] or counts.size == 0:
             raise ValueError(f"counts must be square and non-empty, got shape {counts.shape}")
         # each count within the bound first: their sum can then wrap only past 3e9 cells
-        if counts.max() > MAX_TOTAL or counts.sum() > MAX_TOTAL:
+        if counts.max() > MAX_TOTAL or (total := counts.sum()) > MAX_TOTAL:
             raise ValueError(f"counts must total at most {MAX_TOTAL}, so that int64 holds their products")
+        if total < 1:
+            raise ValueError("table must contain at least one observation")
         object.__setattr__(self, "counts", _readonly(counts.copy()))
 
     def __reduce__(self):
@@ -62,8 +64,6 @@ class MatchingTable:
 
     @cached_property
     def _residuals(self) -> ResidualMatrix:
-        if self.total < 1:
-            raise ValueError("table must contain at least one observation")
         counts = self.counts.astype(float)
         expected = np.outer(self.row_sums, self.col_sums).astype(float) / self.total
         diff = counts - expected  # 0 wherever expected is 0 (an empty row or column): residual +0
@@ -75,8 +75,6 @@ class MatchingTable:
         # a 2x2 table's residuals().signed as Python floats, by _residuals' float operations
         (a, b), (c, d) = self.counts.tolist()
         total = a + b + c + d
-        if total < 1:
-            raise ValueError("table must contain at least one observation")
         e = [float(r * s) / total for r in (a + b, c + d) for s in (a + c, b + d)]
         return [[_signed(a, e[0]), _signed(b, e[1])], [_signed(c, e[2]), _signed(d, e[3])]]
 

@@ -202,8 +202,6 @@ def match_tracemax(table: MatchingTable, rng: np.random.Generator) -> MatchResul
     equivariantly, so fully symmetric tables, and every tied 2x2 table,
     match each orientation with equal probability.
     """
-    if table.total < 1:
-        raise ValueError("table must contain at least one observation")
     return _match_by_assignment(TRACEMAX, table, table.counts.tolist() if table.k == 2 else table.counts.astype(float), rng)
 
 

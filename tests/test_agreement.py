@@ -58,7 +58,7 @@ class TestRandIndex:
         assert rand_index(table) == rand_index(relabeled)
 
     def test_needs_two_observations(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least two observations"):
             rand_index(MatchingTable([[1]]))
 
 
@@ -81,6 +81,10 @@ class TestAdjustedRand:
 
     def test_degenerate_denominator_sentinel(self):
         assert adjusted_rand(MatchingTable([[30]])) == 0.0
+
+    def test_needs_two_observations(self):
+        with pytest.raises(ValueError, match="at least two observations"):
+            adjusted_rand(MatchingTable([[1]]))
 
 
 class TestInvariances:

@@ -1,7 +1,10 @@
-"""The package's public names: which, in what order, and where each comes from."""
+"""The package's public names: which, in what order, and where each comes from;
+and no module-level import that its module never uses."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 
 import pytest
 
@@ -59,3 +62,34 @@ def test_star_import_gives_the_public_names():
     namespace = {}
     exec("from truematch import *", namespace)
     assert set(namespace) - {"__builtins__"} == set(truematch.__all__)
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that a module-level import binds and the module never reads.
+
+    ``import a.b`` counts as used only where ``a.b`` (or ``a.b.x``) is
+    read.  ``from __future__`` and star imports bind no name to check.
+    """
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+    read = {ast.unparse(n) for n in ast.walk(tree) if isinstance(n, (ast.Name, ast.Attribute))}
+    return [name for name in bound if not any(r == name or r.startswith(name + ".") for r in read)]
+
+
+SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "truematch").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_module_level_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_unused_import_is_caught():
+    # the check itself: a dotted import counts only where its full path is read
+    source = "import os\nimport importlib.util\nimport importlib.machinery\nfrom sys import argv\nimportlib.util.find_spec\n"
+    assert unused_imports(source) == ["os", "importlib.machinery", "argv"]

@@ -270,10 +270,10 @@ class TestSimulate:
         assert [line.split(",")[1] for line in lines[1:]] == ["1", "0"]  # -0.0 prints as 0
 
     def test_bad_grid_exit_2(self, runner):
-        result = runner.invoke(main, [
-            "simulate", "--scenario", "grid", "--p-grid", "abc",
-        ])
-        assert result.exit_code == 2
+        for raw, message in [("abc", "bad --p-grid 'abc'"), ("", "must list at least one value"),
+                             (",", "must list at least one value")]:
+            result = runner.invoke(main, ["simulate", "--scenario", "grid", "--p-grid", raw])
+            assert result.exit_code == 2 and message in result.output, raw
 
 
 class TestDeterminism:

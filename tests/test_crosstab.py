@@ -214,6 +214,18 @@ class TestMatchingTable:
         with pytest.raises(ValueError, match="total at most 3000000000"):
             MatchingTable(counts)
 
+    @pytest.mark.parametrize("k, message", [
+        (0, "square and non-empty"),
+        (1, "at least one observation"),
+        (2, "at least one observation"),
+        (3, "at least one observation"),
+    ])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_rejects_table_without_observations(self, k, message, dtype):
+        # no residual expectation and no agreement index is defined on a zero total
+        with pytest.raises(ValueError, match=message):
+            MatchingTable(np.zeros((k, k), dtype=dtype))
+
 
 def reference_signed(counts):
     # the residual arithmetic written out, step for step, on plain arrays
@@ -263,12 +275,6 @@ class TestSignedK2:
                 self.assert_same_bytes(MatchingTable(counts))
         self.assert_same_bytes(MatchingTable([[MAX_TOTAL - 2, 1], [1, 0]]))
 
-    def test_zero_table_fails_on_every_call(self):
-        table = MatchingTable([[0, 0], [0, 0]])
-        for _ in range(2):
-            with pytest.raises(ValueError, match="at least one observation"):
-                table._signed_k2
-
 
 class TestImmutableTable:
     def test_residuals_computed_once_per_table(self):
@@ -317,19 +323,6 @@ class TestImmutableTable:
         for name, ref in zip(("expected", "dev", "signed"), reference_signed(counts)):
             assert same_bits(getattr(cached, name), getattr(fresh, name))
             assert same_bits(getattr(cached, name), ref)
-
-    def test_all_zero_table_fails_on_every_call(self):
-        table = MatchingTable([[0, 0], [0, 0]])
-        for _ in range(2):
-            with pytest.raises(ValueError, match="at least one observation"):
-                residuals(table)
-
-    @pytest.mark.parametrize("matcher", [match_tracemax, match_truematch, match_truematch_heuristic])
-    def test_matchers_reject_all_zero_table_at_the_call(self, matcher):
-        table = MatchingTable(np.zeros((3, 3), dtype=np.int64))
-        for _ in range(2):
-            with pytest.raises(ValueError, match="at least one observation"):
-                matcher(table, np.random.default_rng(0))
 
     @COPIERS
     def test_copies_are_read_only_tables(self, copier):

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +110,12 @@ class TestParseLabels:
     def test_trailing_blank_lines_tolerated(self):
         vec, _ = parse_labels("a\nb\n\n")
         assert len(vec) == 2
+
+    def test_reads_a_text_stream(self):
+        text = "label\nb\na\nb\n"
+        (vec, mapping), (want, want_mapping) = parse_labels(io.StringIO(text)), parse_labels(text)
+        assert vec.labels.tolist() == want.labels.tolist() == [1, 2, 1]
+        assert vec.n_clusters == want.n_clusters and mapping == want_mapping == {"b": 1, "a": 2}
 
     def test_roundtrip_on_canonical_form(self):
         vec, _ = parse_labels("a\nb\na\nc")

@@ -663,15 +663,9 @@ def test_non_permutation_rejected(call):
         NON_PERMUTATION_CALLS[call]()
 
 
-@pytest.mark.parametrize("matcher", [match_truematch, match_truematch_heuristic])
-def test_k2_zero_table_rejected_before_any_draw(matcher):
-    table = MatchingTable([[0, 0], [0, 0]])
-    rng = np.random.default_rng(5)
-    state = rng.bit_generator.state
-    for _ in range(2):  # a failed first call caches nothing
-        with pytest.raises(ValueError, match="at least one observation"):
-            matcher(table, rng)
-    assert rng.bit_generator.state == state
+def test_unknown_matcher_name_rejected():
+    with pytest.raises(ValueError, match=r"^unknown matcher 'bogus'; expected one of \['tracemax', "):
+        resolve_matcher("bogus")
 
 
 class TestDistributionalProperties:

@@ -133,14 +133,19 @@ class TestMmccRun:
 
     def test_rejects_bad_labels(self):
         class Broken:
+            def __init__(self, labels):
+                self.labels = labels
+
             def fit(self, data, idx, k, rng):
                 return None
 
             def predict(self, model, data):
-                return LabelVector(np.full(len(data), 3), 3)
+                return LabelVector(self.labels, 3)
 
-        with pytest.raises(ValueError):
-            mmcc_run(np.zeros(10), 2, Broken(), "truematch", 5, np.random.default_rng(0))
+        # a label past k, and one label short of the data
+        for labels, message in [(np.full(10, 3), "predicted labels"), (np.ones(9), "a label for each of 10 cases")]:
+            with pytest.raises(ValueError, match=message):
+                mmcc_run(np.zeros(10), 2, Broken(labels), "truematch", 5, np.random.default_rng(0))
 
     def test_column_means_symmetrize_under_truematch(self):
         # purely random base clusterer: the matcher must spread votes so the
@@ -371,6 +376,15 @@ class TestFictitiousClusterer:
         rng = np.random.default_rng(15)
         labels = clusterer.fit(np.zeros(4000), None, 2, rng)
         assert abs(np.mean(labels == 1) - 0.8) <= 0.02
+
+    @pytest.mark.parametrize("k, n, message", [
+        (3, 4, "configured for k=2, asked for k=3"),
+        (2, 5, "true_classes length must match the data"),
+    ], ids=["k", "true_classes"])
+    def test_fit_checks_k_and_data_length(self, k, n, message):
+        clusterer = FictitiousClusterer(np.eye(2), true_classes=[1, 2, 2, 1])
+        with pytest.raises(ValueError, match=message):
+            clusterer.fit(np.zeros(n), None, k, np.random.default_rng(0))
 
     def test_votes_structures_validated(self):
         with pytest.raises(ValueError):

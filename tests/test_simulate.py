@@ -64,6 +64,12 @@ class TestFictitiousCluster:
             fictitious_cluster(np.array([1, 2, 3]), 0.5, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("p", [0.001, 0.999])
+def test_build_truth_needs_both_classes(p):
+    with pytest.raises(ValueError, match="leaves no room for two classes among 100 cases"):
+        build_truth(100, p)
+
+
 class TestEnforceSizes:
     def test_moves_from_big_to_small(self):
         labels = np.r_[np.ones(60, dtype=np.int64), np.full(40, 2, dtype=np.int64)]
