@@ -39,7 +39,8 @@ matched tables over random data shows no systematic diagonal.  A 2x2
 table has at most four presentations; each is built on its first read
 and shared by every later match of the same table.  ``perm``
 is the plain column relabeling that aligns the second labeling to the
-first; use it (not the presentation) to compose matchings.
+first; use it (not the presentation) to compose matchings.  A result's
+arrays are read-only, and the K=2 results of one decision share them.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ TRACEMAX = "tracemax"
 TRUEMATCH = "truematch"
 TRUEMATCH_HEURISTIC = "truematch-heuristic"
 
+# K=2 (row_to_col, perm) of the identity and the swap, shared read-only: a 2-permutation is its own inverse
+_K2_RESULTS = tuple((_readonly(np.array(cols)), _readonly(np.array(cols) + 1)) for cols in ([0, 1], [1, 0]))
+
 
 class MatchedPair(NamedTuple):
     row: int
@@ -81,8 +85,9 @@ class MatchedPair(NamedTuple):
 class MatchResult:
     """Outcome of matching the columns of a table to its rows.
 
-    The fields hold what the matcher decided; the attributes marked
-    "on read" present it and are computed when first read.
+    The fields hold what the matcher decided; the attributes marked "on read"
+    present it and are computed when first read.  All its arrays are read-only,
+    and at K=2 the results of one decision share them.
 
     Attributes
     ----------
@@ -136,7 +141,7 @@ class MatchResult:
 
     @cached_property
     def pair_signed(self) -> np.ndarray:
-        return self.residuals.signed[np.arange(self.table.k), self.row_to_col]
+        return _readonly(self.residuals.signed[np.arange(self.table.k), self.row_to_col])
 
     @cached_property
     def _presentation(self) -> tuple[np.ndarray, np.ndarray, MatchingTable]:
@@ -155,7 +160,8 @@ class MatchResult:
         counts = self.table.counts[rows, self.row_to_col]
         present = np.lexsort((self.pair_draws, -signed, -counts))
         cols = self.row_to_col[present]
-        return present + 1, cols + 1, _trusted(MatchingTable, counts=self.table.counts[present[:, None], cols])
+        matched = _trusted(MatchingTable, counts=self.table.counts[present[:, None], cols])
+        return _readonly(present + 1), _readonly(cols + 1), matched
 
     row_order = property(lambda self: self._presentation[0])
     col_order = property(lambda self: self._presentation[1])
@@ -172,7 +178,7 @@ class MatchResult:
 def _match_by_assignment(method: str, table: MatchingTable, score, rng: np.random.Generator) -> MatchResult:
     # score: a K x K float array, or at K=2 its rows as a list of Python scalars
     k = table.k
-    row_shuffle, col_shuffle, draws = rng.permutation(k), rng.permutation(k), rng.uniform(size=k)
+    row_shuffle, col_shuffle, draws = rng.permutation(k), rng.permutation(k), _readonly(rng.random(k))
     trace = {"row_shuffle": row_shuffle.tolist(), "col_shuffle": col_shuffle.tolist(), "pair_draws": draws.tolist()}
     # pairs are reported by the score the assignment maximized, ties by draw
     if k == 2:
@@ -181,17 +187,15 @@ def _match_by_assignment(method: str, table: MatchingTable, score, rng: np.rando
         (r0, r1), (c0, c1), u = trace.values()  # the two shuffles and the pair draws
         a, b, c, d = score[r0][c0], score[r0][c1], score[r1][c0], score[r1][c1]
         swap = a + d < b + c or (a + d == b + c and a < b)
-        to_col = [1, 0] if (r0 != c0) != swap else [0, 1]  # row r0 takes c1 on a swap, else c0
-        row_to_col, perm = np.array(to_col), np.array([c + 1 for c in to_col])  # a 2-permutation is its own inverse
-        pair_order = np.array([1, 0] if (-score[1][to_col[1]], u[1]) < (-score[0][to_col[0]], u[0]) else [0, 1])
+        swapped = (r0 != c0) != swap  # row r0 takes c1 on a swap, else c0: row 0 takes column `swapped`
+        (row_to_col, perm), s0, s1 = _K2_RESULTS[swapped], score[0][swapped], score[1][1 - swapped]
+        pair_order = _K2_RESULTS[(-s1, u[1]) < (-s0, u[0])][0]
     else:
         shuffled = score[np.ix_(row_shuffle, col_shuffle)]  # a copy: the solver minimizes its negation
         shuffled_cols = col_shuffle[solve_assignment(np.negative(shuffled, out=shuffled)) - 1]
-        # Shuffled row i is original row row_shuffle[i]; likewise for columns.
-        row_to_col = np.empty(k, dtype=np.int64)
-        row_to_col[row_shuffle] = shuffled_cols
-        perm = np.argsort(row_to_col) + 1  # inverse of the bijection: column label c -> its row
-        pair_order = np.lexsort((draws, -score[np.arange(k), row_to_col]))
+        row_to_col = _readonly(shuffled_cols[np.argsort(row_shuffle)])  # shuffled row i is original row row_shuffle[i]
+        perm = _readonly(np.argsort(row_to_col) + 1)  # inverse of the bijection: column label c -> its row
+        pair_order = _readonly(np.lexsort((draws, -score[np.arange(k), row_to_col])))
     return MatchResult(method, perm, trace, table, row_to_col, draws, pair_order)
 
 
@@ -312,13 +316,16 @@ def match_truematch_heuristic(table: MatchingTable, rng: np.random.Generator) ->
     row_to_col[live_rows[0]] = live_cols[0]
     pair_order[k - 1] = live_rows[0]
 
-    perm = row_to_col + 1 if k == 2 else np.argsort(row_to_col) + 1  # a 2-permutation is its own inverse
+    if k == 2:  # the shared read-only arrays
+        (row_to_col, perm), pair_order = _K2_RESULTS[row_to_col[0]], _K2_RESULTS[pair_order[0]][0]
+    else:
+        row_to_col, perm, pair_order = _readonly(row_to_col), _readonly(np.argsort(row_to_col) + 1), _readonly(pair_order)
     # the residual cells of every subtable from k x k down to 2 x 2, computed or not
     trace = {"tie_draws": tie_draws, "residual_cells": k * (k + 1) * (2 * k + 1) // 6 - 1}
-    draws = rng.uniform(size=k)
+    draws = _readonly(rng.random(k))
     trace["pair_draws"] = draws.tolist()
     result = MatchResult(TRUEMATCH_HEURISTIC, perm, trace, table, row_to_col, draws, pair_order)
-    result.__dict__["pair_signed"] = sel_signed  # reported as selected, not read from the full table
+    result.__dict__["pair_signed"] = _readonly(sel_signed)  # reported as selected, not read from the full table
     return result
 
 

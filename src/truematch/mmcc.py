@@ -102,7 +102,7 @@ def majority_labels(votes, rng: np.random.Generator) -> LabelVector:
     if not most.all():  # votes are >= 0, so only a row without votes has maximum 0
         raise ValueError("majority undefined: some rows hold no votes")
     top = v == most[:, None]
-    draw = rng.uniform(size=v.shape)
+    draw = rng.random(v.shape)
     labels = np.where(top, draw, -1.0).argmax(axis=1) + 1
     return _trusted(LabelVector, labels=labels.astype(np.int64), n_clusters=v.shape[1])
 

@@ -117,7 +117,7 @@ def fictitious_cluster(truth, kappa: float, rng: np.random.Generator, p: float |
         if not 0.0 <= value <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {value}")
     keep = np.where(labels == 1, kappa + (1.0 - kappa) * (1.0 - p), kappa + (1.0 - kappa) * p)
-    stay = rng.uniform(size=labels.size) < keep
+    stay = rng.random(labels.size) < keep
     return _trusted(LabelVector, labels=np.where(stay, labels, 3 - labels), n_clusters=2)
 
 
@@ -133,12 +133,12 @@ def enforce_sizes(judged, target, rng: np.random.Generator) -> LabelVector:
         target = tuple(_whole(target, "target", 1, 0).tolist())  # else plain ints >= 0, taken as they are
     if len(target) != 2 or sum(target) != labels.size:
         raise ValueError(f"target {target} is not a valid two-class split of {labels.size} cases")
-    surplus_two = int((labels == 2).sum()) - target[1]
+    surplus_two = np.count_nonzero(is_two := labels == 2) - target[1]
     if surplus_two > 0:
-        movers = rng.choice(np.flatnonzero(labels == 2), size=surplus_two, replace=False)
+        movers = rng.choice(np.flatnonzero(is_two), size=surplus_two, replace=False)
         labels[movers] = 1
     elif surplus_two < 0:
-        movers = rng.choice(np.flatnonzero(labels == 1), size=-surplus_two, replace=False)
+        movers = rng.choice(np.flatnonzero(~is_two), size=-surplus_two, replace=False)
         labels[movers] = 2
     return _trusted(LabelVector, labels=labels, n_clusters=2)
 
@@ -176,25 +176,23 @@ def simulate_cell(cfg: SimulationConfig) -> CellResult:
             if cfg.fixed:
                 judged = enforce_sizes(judged, size_target, rng)
             judged_bag = judged.labels[in_bag]
-            if judged_bag.min() == judged_bag.max():
+            if not 0 < np.count_nonzero(judged_bag == 2) < judged_bag.size:  # one class only
                 continue
             if accepted == 0:
-                aligned = judged.labels
+                aligned_bag = judged_bag
                 break
             has_votes = voted[in_bag]
             if not has_votes.any():
                 continue
-            ref_cases = in_bag[has_votes]
-            ref = majority_labels(votes[ref_cases], rng)
-            if ref.labels.min() == ref.labels.max():
+            ref = majority_labels(votes[in_bag[has_votes]], rng)
+            if not 0 < np.count_nonzero(ref.labels == 2) < ref.labels.size:
                 continue
-            judged_ref = _trusted(LabelVector, labels=judged.labels[ref_cases], n_clusters=2)
-            table = crosstab(ref, judged_ref, k=2)
-            aligned = match_fn(table, rng).perm[judged.labels - 1]
+            table = crosstab(ref, _trusted(LabelVector, labels=judged_bag[has_votes], n_clusters=2), k=2)
+            aligned_bag = match_fn(table, rng).perm[judged_bag - 1]
             break
         else:
             break  # redraw budget exhausted: the cell is starved
-        votes[in_bag, aligned[in_bag] - 1] += 1
+        votes.reshape(-1)[2 * in_bag + aligned_bag - 1] += 1  # votes[i, j] in the flat view; in_bag is distinct
         voted[in_bag] = True
         accepted += 1
 
@@ -326,7 +324,7 @@ class FictitiousClusterer:
                 raise ValueError("true_classes length must match the data")
             classes = self.true_classes - 1
         cdf = np.cumsum(self.class_probs[classes], axis=1)
-        draw = rng.uniform(size=n)
+        draw = rng.random(n)
         labels = np.minimum((cdf < draw[:, None]).sum(axis=1), self.k - 1) + 1
         if self.shuffle_labels and self.k > 1:
             renaming = rng.permutation(self.k) + 1

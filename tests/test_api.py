@@ -1,5 +1,6 @@
 """The package's public names: which, in what order, and where each comes from;
-and no module-level import that its module never uses."""
+no module-level import that its module never uses; and no standard uniform
+drawn by ``uniform`` where ``random`` draws the same values for less."""
 
 import ast
 import importlib
@@ -93,3 +94,23 @@ def test_unused_import_is_caught():
     # the check itself: a dotted import counts only where its full path is read
     source = "import os\nimport importlib.util\nimport importlib.machinery\nfrom sys import argv\nimportlib.util.find_spec\n"
     assert unused_imports(source) == ["os", "importlib.machinery", "argv"]
+
+
+def bare_uniform_calls(source: str) -> list[str]:
+    """Calls ``x.uniform(...)`` that pass neither ``low`` nor ``high``, by position
+    or keyword: each draws what ``x.random(...)`` draws, at about twice the cost."""
+    return [
+        ast.unparse(node) for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "uniform"
+        and not node.args and not {kw.arg for kw in node.keywords} & {"low", "high"}
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_standard_uniforms_drawn_by_random(path):
+    assert bare_uniform_calls(path.read_text()) == []
+
+
+def test_bare_uniform_call_is_caught():
+    source = "rng.uniform(size=3)\nrng.uniform()\nrng.uniform(0.5, 2.0)\nrng.uniform(high=2.0, size=4)\nrng.random(3)\n"
+    assert bare_uniform_calls(source) == ["rng.uniform(size=3)", "rng.uniform()"]

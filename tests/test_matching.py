@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from truematch import (
+    FictitiousClusterer,
     MatchedPair,
     MatchingTable,
     aligned_table,
@@ -18,6 +19,7 @@ from truematch import (
     match_tracemax,
     match_truematch,
     match_truematch_heuristic,
+    mmcc_run,
     resolve_matcher,
     residuals,
     solve_assignment,
@@ -601,6 +603,35 @@ class TestResultShape:
         # all four presentations of the all-equal tables: both assignments, in both orders
         for c in range(1, 5):
             assert {key for cells, key in reached if cells == (c,) * 4} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("matcher", ["tracemax", "truematch", "truematch-heuristic"])
+    def test_result_arrays_are_read_only(self, matcher, k):
+        rng = np.random.default_rng(61)
+        for _ in range(6):
+            res = resolve_matcher(matcher)(MatchingTable(rng.integers(0, 9, (k, k)) + np.eye(k, dtype=int)), rng)
+            for name in ("perm", "row_to_col", "pair_order", "pair_draws", "pair_signed", "row_order", "col_order"):
+                with pytest.raises(ValueError):
+                    getattr(res, name)[0] = 1
+
+    @pytest.mark.parametrize("matcher", ["tracemax", "truematch", "truematch-heuristic"])
+    def test_k2_results_with_one_decision_share_their_arrays(self, matcher):
+        fn = resolve_matcher(matcher)
+        tied = MatchingTable([[3, 3], [3, 3]])  # either assignment, by the draws
+        results = [fn(tied, np.random.default_rng(seed)) for seed in range(12)]
+        by_perm = {}
+        for res in results:
+            by_perm.setdefault(tuple(res.perm.tolist()), []).append(res)
+            assert res.perm.tolist() == (res.row_to_col + 1).tolist()
+        assert len(by_perm) == 2  # both assignments come up over these seeds
+        for same in by_perm.values():
+            assert all(res.perm is same[0].perm and res.row_to_col is same[0].row_to_col for res in same)
+        # the shared arrays still compose: relabel a vector, and align mmcc rounds through them
+        labels = LabelVector([1, 2, 2, 1], 2)
+        for res in results:
+            assert apply_permutation(labels, res.perm).labels.tolist() == res.perm[labels.labels - 1].tolist()
+        votes, probs = mmcc_run(np.zeros(30), 2, FictitiousClusterer([[0.9, 0.1]]), fn, 8, np.random.default_rng(3))
+        assert votes.sum(axis=1).tolist() == [8] * 30 and np.allclose(probs.probs.sum(axis=1), 1.0)
 
     def test_perm_only_match_leaves_presentation_slot_alone(self):
         for fn in (match_tracemax, match_truematch):

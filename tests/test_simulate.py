@@ -1,23 +1,34 @@
+import dataclasses
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 import truematch.simulate
 
 from truematch import (
+    CellResult,
+    CicStats,
     LabelVector,
     MatchingTable,
     OutlierScenarioResult,
+    ProbMatrix,
     SimulationConfig,
     adjusted_rand,
     build_truth,
+    cic_stats,
     cohen_kappa,
+    crosstab,
     derive_cell_seed,
     diagonal_fraction,
     enforce_sizes,
     fictitious_cluster,
     grid_sweep,
+    majority_labels,
     match_tracemax,
     match_truematch,
+    match_truematch_heuristic,
     outlier_scenario,
     rand_index,
     resolve_matcher,
@@ -98,6 +109,101 @@ class TestEnforceSizes:
         for target in ((-1, 4), [-1, 4], np.array([-1, 4])):
             with pytest.raises(ValueError, match="target must be >= 0, got -1"):
                 enforce_sizes(labels, target, np.random.default_rng(0))
+
+
+def reference_enforce_sizes(judged, target, rng):
+    """``enforce_sizes`` as it was written before its class mask was built once."""
+    labels = judged.labels.copy()
+    surplus_two = int((labels == 2).sum()) - target[1]
+    if surplus_two > 0:
+        labels[rng.choice(np.flatnonzero(labels == 2), size=surplus_two, replace=False)] = 1
+    elif surplus_two < 0:
+        labels[rng.choice(np.flatnonzero(labels == 1), size=-surplus_two, replace=False)] = 2
+    return LabelVector(labels, 2)
+
+
+def reference_simulate_cell(cfg):
+    """``simulate_cell`` as it was written before its rounds worked on the in-bag
+    vectors alone: whole-population alignment, min == max class tests and 2-D
+    fancy-index voting."""
+    rng = np.random.default_rng(cfg.seed)
+    truth = LabelVector(build_truth(cfg.n_cases, cfg.p), 2)
+    n = cfg.n_cases
+    match_fn = resolve_matcher(cfg.matcher)
+    heavy = int(round(cfg.p * n))
+    votes = np.zeros((n, 2), dtype=np.int64)
+    voted = np.zeros(n, dtype=bool)
+    accepted = 0
+    while accepted < cfg.rounds:
+        for _ in range(truematch.simulate.REDRAW_BUDGET):
+            picks = rng.integers(0, n, size=n)
+            in_bag = np.bincount(picks, minlength=n).nonzero()[0]
+            judged = fictitious_cluster(truth, cfg.kappa, rng, p=cfg.p)
+            if cfg.fixed:
+                judged = reference_enforce_sizes(judged, (n - heavy, heavy), rng)
+            judged_bag = judged.labels[in_bag]
+            if judged_bag.min() == judged_bag.max():
+                continue
+            if accepted == 0:
+                aligned = judged.labels
+                break
+            has_votes = voted[in_bag]
+            if not has_votes.any():
+                continue
+            ref_cases = in_bag[has_votes]
+            ref = majority_labels(votes[ref_cases], rng)
+            if ref.labels.min() == ref.labels.max():
+                continue
+            table = crosstab(ref, LabelVector(judged.labels[ref_cases], 2), k=2)
+            aligned = match_fn(table, rng).perm[judged.labels - 1]
+            break
+        else:
+            break
+        votes[in_bag, aligned[in_bag] - 1] += 1
+        voted[in_bag] = True
+        accepted += 1
+    if voted.any():
+        active = votes[voted]
+        stats = cic_stats(ProbMatrix(active / active.sum(axis=1, keepdims=True)))
+        final = majority_labels(active, rng)
+        degenerate = accepted < cfg.rounds or bool(final.labels.min() == final.labels.max())
+    else:
+        stats = CicStats(*[float("nan")] * 4)
+        degenerate = True
+    return CellResult(
+        p=cfg.p, kappa=cfg.kappa, uncertainty=stats.uncertainty, information=stats.information, cic=stats.cic,
+        degenerate=degenerate, fixed=cfg.fixed, matcher=cfg.matcher, seed=cfg.seed,
+    )
+
+
+def assert_same_cell(got, want):
+    for field in dataclasses.fields(CellResult):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b)), (field.name, a, b, want)
+
+
+class TestSimulateCellOracle:
+    """The round loop against its earlier whole-population form, draw for draw."""
+
+    @pytest.mark.parametrize("seed", [5, 2**33 + 1])
+    def test_sim_grid_cells(self, seed):
+        for p, kappa, matcher, fixed in itertools.product(
+            (0.5, 0.7, 0.9), (0.0, 0.5, 1.0), ("truematch", "tracemax"), (False, True)
+        ):
+            cfg = SimulationConfig(p=p, kappa=kappa, rounds=60, matcher=matcher, fixed=fixed, seed=seed)
+            assert_same_cell(simulate_cell(cfg), reference_simulate_cell(cfg))
+
+    def test_starved_cell(self):
+        # one class-1 case in 100: most bootstraps miss it, and the cell runs out of redraws
+        cfg = SimulationConfig(p=0.99, kappa=0.0, rounds=60, matcher="tracemax", seed=3)
+        cell = simulate_cell(cfg)
+        assert cell.degenerate
+        assert_same_cell(cell, reference_simulate_cell(cfg))
+
+    def test_callable_matcher(self):
+        for fixed in (False, True):
+            cfg = SimulationConfig(p=0.7, kappa=0.5, rounds=60, matcher=match_truematch_heuristic, fixed=fixed, seed=6)
+            assert_same_cell(simulate_cell(cfg), reference_simulate_cell(cfg))
 
 
 class TestSimulateCell:
