@@ -33,9 +33,9 @@ def _json_text(value, nl: str = "\n") -> str:
     digits.  Keys must be strings; ``nl`` is the newline and indent of the
     enclosing level.
 
-    Each numpy array is rendered row by row, one ``%`` format a row,
-    instead of one Python call per number.  A count table (ints in 0..size)
-    indexes the texts of 0..max instead.
+    A numeric numpy array is printed from the texts of its distinct values,
+    each formatted once (``_distinct_texts``), and each row is joined from
+    its cells' texts instead of one Python call per number.
     """
     if isinstance(value, (str, bool)) or value is None:
         return json.dumps(value)
@@ -50,54 +50,58 @@ def _json_text(value, nl: str = "\n") -> str:
         items = [f"{json.dumps(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + nl + "}"
     if isinstance(value, np.ndarray):
-        if value.ndim and value.dtype.kind == "f":
-            return _float_array_text(value, nl)
-        if value.dtype.kind in "iu" and 0 < value.ndim < 3 and value.size and value.min() >= 0 \
-                and (top := int(value.max())) <= value.size:
-            texts = np.array(list(map(str, range(top + 1))), dtype=object)[value].tolist()
-            return _bracket(texts if value.ndim == 1 else [_bracket(row, inner) for row in texts], nl)
+        if value.ndim and value.dtype.kind in "fiu":
+            return _indexed_text(*_distinct_texts(value), nl)
         if value.ndim > 1:
             return _bracket([_json_text(row, inner) for row in value], nl)
-        if value.ndim and value.dtype.kind in "iu":
-            return _bracket(value.tolist(), nl, ["%d"] * value.size)
         return _json_text(value.tolist(), nl)
     if isinstance(value, (list, tuple)):
         return _bracket([_json_text(item, inner) for item in value], nl)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _float_array_text(arr: np.ndarray, nl: str, mask: np.ndarray | None = None) -> str:
-    """A float array's JSON text.  Only the floats ``mask`` marks go back through ``float``:
-    by default NaN, inf and all within 1e-5 * max(1, |x|) of an integer.  These include every
-    float whose ``"%.6g"`` text is integral (``3``, ``-0``) or has an exponent of 6 to 15."""
-    if mask is None:  # in place: two matrices of float64 at most
-        mag = np.abs(arr, dtype=np.float64)
-        dist = np.rint(mag)
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, marked as no comparison holds
-            np.abs(np.subtract(mag, dist, out=dist), out=dist)
-        mask = ~(dist > np.multiply(np.maximum(mag, 1.0, out=mag), 1e-5, out=mag))
-        del mag, dist
-    if arr.ndim > 1:
-        return _bracket([_float_array_text(row, nl + "  ", m) for row, m in zip(arr, mask)], nl)
-    values, fmt = arr.tolist(), ["%.6g"] * arr.size
-    for i in np.flatnonzero(mask).tolist():
-        fmt[i], v = "%s", values[i]
-        values[i] = float.__repr__(float("%.6g" % v)) if math.isfinite(v) else json.dumps(v)
-    return _bracket(values, nl, fmt)
+def _distinct_texts(arr: np.ndarray, json_floats: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The texts of ``arr``'s distinct values (an object array) and each cell's index into them.
+
+    Floats are grouped by their float64 bits (``-0.0`` apart from ``0.0``) and printed by
+    ``"%.6g"``.  For JSON only NaN, inf and all within 1e-5 * max(1, |x|) of an integer go back
+    through ``float``: these include every text that is integral (``3``, ``-0``) or has an
+    exponent of 6 to 15.  A count table (ints in 0..size) indexes the texts of 0..max, unsorted."""
+    if arr.dtype.kind == "f":
+        bits, index = np.unique(np.asarray(arr, dtype=np.float64).view(np.int64), return_inverse=True)
+        values = bits.view(np.float64)
+        texts = ["%.6g" % v for v in values.tolist()]
+        if json_floats:
+            mag = np.abs(values)
+            with np.errstate(invalid="ignore"):  # inf - inf is NaN, marked as no comparison holds
+                mask = ~(np.abs(mag - np.rint(mag)) > np.maximum(mag, 1.0) * 1e-5)
+            for i in np.flatnonzero(mask).tolist():
+                texts[i] = float.__repr__(float(texts[i])) if math.isfinite(values[i]) else json.dumps(values[i])
+    elif arr.size and arr.min() >= 0 and (top := int(arr.max())) <= arr.size:
+        return np.array(list(map(str, range(top + 1))), dtype=object), arr
+    else:
+        distinct, index = np.unique(arr, return_inverse=True)
+        texts = list(map(str, distinct.tolist()))
+    return np.array(texts, dtype=object), index.reshape(arr.shape)
 
 
-def _bracket(items: list, nl: str, fmt: list[str] | None = None) -> str:
-    """JSON list text of ``items``, item i printed by ``fmt[i] % item`` (default: as text)."""
-    if not items:
-        return "[]"
-    inner, sep = nl + "  ", "," + nl + "  "
-    return "[" + inner + (sep.join(items) if fmt is None else sep.join(fmt) % tuple(items)) + nl + "]"
+def _indexed_text(texts: np.ndarray, index: np.ndarray, nl: str) -> str:
+    """JSON list text of the array whose cells are ``texts[index]``, gathered one row at a time."""
+    if index.ndim > 1:
+        return _bracket([_indexed_text(texts, row, nl + "  ") for row in index], nl)
+    return _bracket(texts[index].tolist(), nl)
+
+
+def _bracket(items: list[str], nl: str) -> str:
+    """JSON list text of the item texts ``items``."""
+    inner = nl + "  "
+    return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
 
 
 def _csv_text(matrix: np.ndarray) -> str:
-    """A float matrix as CSV lines of ``"%.6g"`` values, by one ``%`` format over the whole matrix."""
-    row = ",".join(["%.6g"] * matrix.shape[1])
-    return ("\n".join([row] * matrix.shape[0]) + "\n") % tuple(matrix.ravel().tolist())
+    """A float matrix as CSV lines of ``"%.6g"`` values, from the texts of its distinct values."""
+    texts, index = _distinct_texts(matrix, json_floats=False)
+    return "\n".join(map(",".join, texts[index].tolist())) + "\n"
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:

@@ -51,6 +51,20 @@ SPECIAL = [
     1e-300, 1e300, -1e300, 1.7976931348623157e308, 999999.4, 999999.5, 1e6, 1234567.0,
     9999995.0, 1e15, 999999999999999.9, 1e16, 1.2345675e16, 0.1, 1e-5, 0.0001, 123456.5,
 ]
+# NaNs of both signs and two payloads (quiet, and signalling with payload 1)
+NANS = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF0000000000001],
+                dtype=np.uint64).view(np.float64).tolist()
+# floats whose "{:.6g}" text is integral or has an exponent of 6-15 although they are no integers
+INTEGRAL_TEXT = [12345.04, 0.9999996, 99999.49, 99999.5, -4e-07, 1234567.8, -99999.96, 1e15 + 0.5]
+
+
+def pool_matrix(shape=(300, 300)) -> np.ndarray:
+    """A float64 matrix drawn from 37 values that several texts share or that only
+    their bits tell apart: both zeros, four NaNs, the infinities, the smallest subnormal."""
+    pool = np.array(SPECIAL + NANS + INTEGRAL_TEXT)
+    return pool[np.random.default_rng(300).integers(0, pool.size, shape)]
+
+
 floats = st.one_of(
     st.sampled_from(SPECIAL),
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
@@ -104,6 +118,14 @@ class TestOracle:
         arr = np.array(SPECIAL)
         assert _json_text({"x": arr, "y": SPECIAL}) == reference({"x": arr, "y": SPECIAL})
 
+    def test_values_grouped_by_bits(self):
+        # 0.0 and -0.0 compare equal but print apart; NaNs of any sign or payload print alike
+        m = pool_matrix()
+        bits = m.view(np.uint64)
+        assert (bits == 0).any() and (bits == 1 << 63).any() and np.isnan(m).sum() > 1000
+        payload = {"m": m, "row": m[7], "cube": np.stack([m[:3, :5], m[-3:, -5:]])}
+        assert _json_text(payload) == reference(payload)
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
     def test_integral_text_of_non_integers(self, dtype):
         # "{:.6g}" prints each of these without a point or exponent although it
@@ -121,7 +143,9 @@ class TestOracle:
         np.array([[-128, 5], [3, 127]], dtype=np.int8),
         np.zeros((3, 0), dtype=np.int64),
         np.random.default_rng(400).poisson(0.3, (400, 400)),  # a sparse K=400 table: digit texts
-    ], ids=["2x2-98", "uint64-top", "int8-negative", "3x0", "400x400-poisson"])
+        # negatives and values above the cell count: the distinct-value texts at scale
+        np.random.default_rng(401).integers(-300, 300, (400, 400)) * np.array([1, 1, 1, 1000]).repeat(100),
+    ], ids=["2x2-98", "uint64-top", "int8-negative", "3x0", "400x400-poisson", "400x400-signed"])
     def test_int_arrays_on_both_sides_of_the_digit_table(self, arr):
         payload = {"m": arr, "head": arr[:1]}
         assert _json_text(payload) == reference(payload)
@@ -147,7 +171,7 @@ def test_k400_match_payload(tmp_path):
         (tmp_path / f"{name}.txt").write_text("\n".join(f"c{x}" for x in labels) + "\n")
     # the labels are first-appearance ranks already, so canonical = raw + 1
     table = crosstab(a + 1, b + 1, k)
-    for method in ("truematch", "truematch-heuristic"):
+    for method in ("truematch", "truematch-heuristic", "tracemax"):
         out = tmp_path / f"{method}.json"
         result = CliRunner().invoke(
             main, ["match", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"),
@@ -188,6 +212,12 @@ class TestProbsCsv:
     def test_single_cell(self):
         for value in self.EDGE:
             assert _csv_text(np.array([[value]])) == csv_reference([[value]])
+
+    def test_values_grouped_by_bits(self):
+        matrix = np.clip(pool_matrix(), 0.0, 1.0)
+        bits = matrix.view(np.uint64)
+        assert (bits == 0).any() and (bits == 1 << 63).any()  # clipping kept both zeros
+        assert _csv_text(matrix) == csv_reference(matrix)
 
     @settings(max_examples=200, deadline=None)
     @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12),
